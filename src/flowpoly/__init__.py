@@ -9,6 +9,7 @@ provided, together with brute-force oracles and a verification harness that
 cross-checks them on exhaustive catalogs of small multigraphs.
 """
 
+from . import abelian, assigning, flows, graphs
 from .abelian import GroupElement, GroupSpec, parse_group
 from .assigning import (
     Assigning,
@@ -61,6 +62,20 @@ from .polynomial import IntPolynomial
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every cache the package keeps, so the next call starts cold."""
+    for cache in (
+        abelian.index_tables,
+        abelian.residue_strides,
+        graphs._lambda_family_cached,
+        flows._boundary_histogram,
+        assigning._structure,
+        assigning._poly_from_signature,
+    ):
+        cache.cache_clear()
+
+
 __all__ = [
     "Assigning",
     "BFunction",
@@ -85,6 +100,7 @@ __all__ = [
     "boundary",
     "bridges",
     "broken_bonds",
+    "clear_caches",
     "compare_coefficients",
     "component_count",
     "components",

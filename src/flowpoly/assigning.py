@@ -11,8 +11,11 @@ two independent ways:
 Whether G - S is compatible with b depends only on the connected partition
 of G - S, so for small graphs a per-subset partition table is precomputed
 and results are memoized per compatibility signature (the bitmask saying
-which partitions are compatible).  Larger graphs fall back to a streaming
-scan that memoizes compatibility per partition within one call.
+which partitions are compatible).  Larger graphs are scanned depth first
+instead: edges are deleted or kept one at a time, a union-find undone on
+backtrack carries each block's b-sum, and a subtree whose deleted edges
+already contain a compatible broken bond is skipped whole.  Both
+algorithms share that one scan.
 """
 
 from __future__ import annotations
@@ -256,44 +259,92 @@ def poly_subset_expansion(
     return _poly_subset_stream(g, b)
 
 
-def _compatibility_oracle(g: MultiGraph, b: BFunction):
-    """Partition-level compatibility predicate with per-call memoization."""
-    spec = b.spec
-    add, _ = index_tables(spec)
-    strides = residue_strides(spec)
-    idx = [sum(r * s for r, s in zip(v, strides)) for v in b.values]
-    memo: dict[tuple[tuple[int, ...], ...], bool] = {}
+def _scan(
+    g: MultiGraph, b: BFunction, broken_masks: Iterable[int]
+) -> list[list[int]]:
+    """hist[|S|][c(G - S)] over the deleted sets S with G - S compatible with b
+    and containing none of the broken masks (bit i is the edge at position i).
 
-    def compatible(partition: tuple[tuple[int, ...], ...]) -> bool:
-        hit = memo.get(partition)
-        if hit is not None:
-            return hit
-        ok = True
-        for block in partition:
-            total = 0
-            for v in block:
-                total = add[total][idx[v]]
-            if total:
-                ok = False
+    A depth-first walk decides the edges in position order, deleting or
+    keeping each.  Kept edges are joined in a union-find with union by size
+    and no path compression, so every union is undone exactly on backtrack.
+    Each root holds its block's b-sum as a group-element index, and two
+    running counters (blocks, blocks with a nonzero sum) make the leaf test
+    O(1).  A mask is checked when its highest edge is deleted; once a mask is
+    fully deleted, every leaf below contains it and the subtree is skipped.
+    """
+    n, m = g.vertex_count, g.edge_count
+    hist = [[0] * (n + 1) for _ in range(m + 1)]
+    ends: list[list[int]] = [[] for _ in range(m)]
+    for mask in broken_masks:
+        if not mask:  # the empty set lies in every S
+            return hist
+        ends[mask.bit_length() - 1].append(mask)
+    add, _ = index_tables(b.spec)
+    strides = residue_strides(b.spec)
+    total = [sum(r * s for r, s in zip(v, strides)) for v in b.values]
+    parent = list(range(n))
+    size = [1] * n
+    pairs = g.pairs()
+    last = m - 1
+
+    def descend(i: int, deleted: int, s: int, blocks: int, nonzero: int) -> None:
+        # The children of the last edge are leaves: tallied here, not called.
+        leaf = i == last
+        gone = deleted | 1 << i
+        for mask in ends[i]:
+            if gone & mask == mask:
                 break
-        memo[partition] = ok
-        return ok
+        else:
+            if not leaf:
+                descend(i + 1, gone, s + 1, blocks, nonzero)
+            elif not nonzero:
+                hist[s + 1][blocks] += 1
+        x, y = pairs[i]
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x == y:
+            if not leaf:
+                descend(i + 1, deleted, s, blocks, nonzero)
+            elif not nonzero:
+                hist[s][blocks] += 1
+            return
+        if size[x] < size[y]:
+            x, y = y, x
+        sx, sy = total[x], total[y]
+        joined = add[sx][sy]
+        nonzero += (joined != 0) - (sx != 0) - (sy != 0)
+        if leaf:
+            if not nonzero:
+                hist[s][blocks - 1] += 1
+            return
+        parent[y] = x
+        size[x] += size[y]
+        total[x] = joined
+        descend(i + 1, deleted, s, blocks - 1, nonzero)
+        parent[y] = y
+        size[x] -= size[y]
+        total[x] = sx
 
-    return compatible
+    nonzero = sum(1 for t in total if t)
+    if m:
+        descend(0, 0, 0, n, nonzero)
+    elif not nonzero:
+        hist[0][n] = 1
+    return hist
 
 
 def _poly_subset_stream(g: MultiGraph, b: BFunction) -> IntPolynomial:
     require_compatible(g, b)
     n, m = g.vertex_count, g.edge_count
-    pairs = g.pairs()
-    compatible = _compatibility_oracle(g, b)
-    top = cycle_rank(g)
-    coeffs = [0] * (top + 1)
-    for mask in range(1 << m):
-        part = _partition_of_mask(pairs, n, mask)
-        if compatible(part):
-            size = mask.bit_count()
-            coeffs[m - size - n + len(part)] += 1 if size % 2 == 0 else -1
+    coeffs = [0] * (cycle_rank(g) + 1)
+    for s, row in enumerate(_scan(g, b, ())):
+        sign = 1 if s % 2 == 0 else -1
+        for c, count in enumerate(row):
+            if count:
+                coeffs[m - s - n + c] += sign * count
     return IntPolynomial(tuple(coeffs))
 
 
@@ -356,47 +407,48 @@ def poly_nbb(
     if order is None:
         order = EdgeOrder.default(g)
     order.validate_for(g)
+    if g.edge_count > _TABLE_MAX_EDGES:
+        return _poly_nbb_stream(g, b, order)
     top = cycle_rank(g)
     counts = [0] * (top + 1)
-    if g.edge_count <= _TABLE_MAX_EDGES:
-        sigma = compat_signature(g, b)
-        if not sigma & 1:
-            require_compatible(g, b)
-        st = _structure(g)
-        broken = _broken_masks_from_structure(g, st, sigma, order)
-        partition_id = st.partition_id
-        for mask in range(len(partition_id)):
-            if not sigma >> partition_id[mask] & 1:
-                continue
-            if any(mask & bb == bb for bb in broken):
-                continue
-            size = mask.bit_count()
-            if size > top:
-                raise ConsistencyError(
-                    f"a {size}-edge subset survived although m(G) = {top}"
-                )
-            counts[size] += 1
-    else:
+    sigma = compat_signature(g, b)
+    if not sigma & 1:
         require_compatible(g, b)
-        n, m = g.vertex_count, g.edge_count
-        pairs = g.pairs()
-        pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
-        broken = sorted(
-            sum(1 << pos_of[eid] for eid in bb) for bb in broken_bonds(g, b, order)
-        )
-        compatible = _compatibility_oracle(g, b)
-        for mask in range(1 << m):
-            if any(mask & bb == bb for bb in broken):
-                continue
-            part = _partition_of_mask(pairs, n, mask)
-            if not compatible(part):
-                continue
-            size = mask.bit_count()
-            if size > top:
-                raise ConsistencyError(
-                    f"a {size}-edge subset survived although m(G) = {top}"
-                )
-            counts[size] += 1
+    st = _structure(g)
+    broken = _broken_masks_from_structure(g, st, sigma, order)
+    partition_id = st.partition_id
+    for mask in range(len(partition_id)):
+        if not sigma >> partition_id[mask] & 1:
+            continue
+        if any(mask & bb == bb for bb in broken):
+            continue
+        size = mask.bit_count()
+        if size > top:
+            raise ConsistencyError(
+                f"a {size}-edge subset survived although m(G) = {top}"
+            )
+        counts[size] += 1
+    return IntPolynomial.from_signless(counts, top)
+
+
+def _poly_nbb_stream(g: MultiGraph, b: BFunction, order: EdgeOrder) -> IntPolynomial:
+    require_compatible(g, b)
+    top = cycle_rank(g)
+    counts = [0] * (top + 1)
+    pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
+    broken = [
+        sum(1 << pos_of[edge_id] for edge_id in bond)
+        for bond in broken_bonds(g, b, order)
+    ]
+    for size, row in enumerate(_scan(g, b, broken)):
+        count = sum(row)
+        if not count:
+            continue
+        if size > top:
+            raise ConsistencyError(
+                f"a {size}-edge subset survived although m(G) = {top}"
+            )
+        counts[size] = count
     return IntPolynomial.from_signless(counts, top)
 
 
@@ -469,9 +521,3 @@ def is_A_connected(
         if via_poly == 0:
             return False, b
     return True, None
-
-
-def clear_assigning_caches() -> None:
-    """Drop the cached subset tables and signature polynomials."""
-    _structure.cache_clear()
-    _poly_from_signature.cache_clear()

@@ -29,6 +29,7 @@ from .flows import (
     count_flows_bruteforce,
     count_nz_flows_bruteforce,
     decomposition_check,
+    enumerate_zero_sum,
     require_compatible,
 )
 from .graphs import MultiGraph, bonds, cycle_rank, lambda_family
@@ -40,7 +41,7 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
-SUBSET_GUARD = 24
+SUBSET_GUARD = asg.DEFAULT_MAX_EDGES
 LAMBDA_GUARD = 20
 
 
@@ -290,8 +291,8 @@ def cmd_connectivity(args) -> tuple[dict, int]:
                 f"comparison group {other} must share the order of {spec}"
             )
         other_connected, _ = asg.is_A_connected(g, other, budget=args.budget, max_edges=guard)
-        alphas = {asg.induced_assigning(g, b) for b in _zero_sum(g, spec)}
-        alphas_other = {asg.induced_assigning(g, b) for b in _zero_sum(g, other)}
+        alphas = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, spec)}
+        alphas_other = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, other)}
         hypothesis = alphas <= alphas_other
         consistent = not (other_connected and hypothesis) or connected
         report["compare"] = {
@@ -304,12 +305,6 @@ def cmd_connectivity(args) -> tuple[dict, int]:
             code = EXIT_VERIFY
     report["pass"] = code == EXIT_OK
     return report, code
-
-
-def _zero_sum(g: MultiGraph, spec: GroupSpec):
-    from .flows import enumerate_zero_sum
-
-    return enumerate_zero_sum(g, spec)
 
 
 def cmd_decompose(args) -> tuple[dict, int]:
@@ -346,7 +341,7 @@ def cmd_check(args) -> tuple[dict, int]:
         ]
     else:
         graphs = random_catalog(args.seed, 40, args.max_n, args.max_m)
-    report_data = run_verification(graphs, specs, seed=args.seed)
+    report_data = run_verification(graphs, specs, seed=args.seed, budget=args.budget)
     suites = [suite.as_dict() for suite in report_data.suites.values()]
     suites.append(run_classical_checks().as_dict())
     ok = all(s["failures"] == 0 for s in suites)

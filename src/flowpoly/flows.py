@@ -232,8 +232,3 @@ def decomposition_check(
         total_all += count_flows(g, b)
     ok = total_nz == (spec.order - 1) ** m and total_all == spec.order**m
     return total_nz, total_all, ok
-
-
-def clear_flow_caches() -> None:
-    """Drop the cached per-(graph, group) boundary histograms."""
-    _boundary_histogram.cache_clear()

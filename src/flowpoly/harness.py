@@ -23,6 +23,7 @@ from .catalog import bridged_triangles, complete, cycle, path
 from .errors import BudgetError, ConsistencyError
 from .flows import (
     BFunction,
+    DEFAULT_BUDGET,
     count_nz_flows_bruteforce,
     decomposition_check,
     enumerate_zero_sum,
@@ -101,9 +102,13 @@ def run_verification(
     pairing_orders: int = 2,
     include_reversals: bool = True,
     comparison_calls: int = 3,
+    budget: int = DEFAULT_BUDGET,
     progress: Callable[[int], None] | None = None,
 ) -> VerificationReport:
-    """Run every verification suite over the given graphs and groups."""
+    """Run every verification suite over the given graphs and groups.
+
+    ``budget`` caps each brute-force flow enumeration, as in the flows module.
+    """
     report = VerificationReport({name: SuiteResult(name) for name in SUITE_NAMES})
     for spec in specs:
         if spec.order < 2:
@@ -119,6 +124,7 @@ def run_verification(
             pairing_orders=pairing_orders,
             include_reversals=include_reversals,
             comparison_calls=comparison_calls,
+            budget=budget,
         )
         report.graph_count += 1
         if progress is not None:
@@ -144,6 +150,7 @@ def _check_graph(
     pairing_orders: int,
     include_reversals: bool,
     comparison_calls: int,
+    budget: int,
 ) -> None:
     suites = report.suites
     label = f"graph#{index}(n={g.vertex_count}, edges={list(g.pairs())})"
@@ -163,7 +170,7 @@ def _check_graph(
     histograms = []
 
     for spec in specs:
-        hist = nz_flow_boundary_counts(g, spec)
+        hist = nz_flow_boundary_counts(g, spec, budget=budget)
         histograms.append(hist)
         classes: dict[int, _SignatureClass] = {}
         suite1 = suites["oracle_equivalence"]
@@ -183,7 +190,7 @@ def _check_graph(
                 whole.specs.append(spec)
 
             poly = asg.poly_subset_expansion(g, b)
-            brute = count_nz_flows_bruteforce(g, b)
+            brute = count_nz_flows_bruteforce(g, b, budget=budget)
             suite1.checked += 1
             if poly.eval(order) != brute:
                 suite1.fail(
@@ -192,7 +199,7 @@ def _check_graph(
                 )
         per_spec_classes.append(classes)
 
-        total_nz, total_all, ok = decomposition_check(g, spec)
+        total_nz, total_all, ok = decomposition_check(g, spec, budget=budget)
         suites["decomposition"].checked += 1
         if not ok:
             suites["decomposition"].fail(
@@ -205,7 +212,9 @@ def _check_graph(
             for edge in g.edges:
                 if edge.is_loop:
                     continue
-                reversed_hist = nz_flow_boundary_counts(reverse_edge(g, edge.id), spec)
+                reversed_hist = nz_flow_boundary_counts(
+                    reverse_edge(g, edge.id), spec, budget=budget
+                )
                 suite3.checked += 1
                 if reversed_hist != hist:
                     suite3.fail(

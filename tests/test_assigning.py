@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowpoly
+from flowpoly import abelian, assigning, flows, graphs
 from flowpoly.abelian import parse_group
 from flowpoly.assigning import (
     EdgeOrder,
+    _poly_nbb_stream,
     _poly_subset_stream,
     b_compatible_bonds,
     broken_bonds,
@@ -21,15 +24,17 @@ from flowpoly.assigning import (
     poly_nbb,
     poly_subset_expansion,
 )
+from flowpoly.catalog import complete
 from flowpoly.errors import BudgetError, IncompatibleError, InputError
 from flowpoly.flows import BFunction, count_nz_flows_bruteforce, enumerate_zero_sum
-from flowpoly.graphs import MultiGraph
+from flowpoly.graphs import MultiGraph, lambda_family
 from flowpoly.polynomial import IntPolynomial
 
 from conftest import SMALL_GROUPS, k4, multigraphs, single_edge, single_loop, triangle
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
+Z2XZ2 = parse_group("Z2xZ2")
 
 K_MINUS_1 = IntPolynomial((-1, 1))
 
@@ -94,15 +99,56 @@ def test_subset_expansion_edge_guard():
 
 def test_stream_path_matches_table_path():
     rng = random.Random(7)
+    order_rng = random.Random(8)
     for _ in range(25):
         n = rng.randint(1, 4)
         m = rng.randint(0, 8)
         g = MultiGraph.from_pairs(
             n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
         )
-        for spec in (Z2, parse_group("Z2xZ2")):
+        order = EdgeOrder.shuffled(g, order_rng)
+        for spec in (Z2, Z2XZ2):
             for b in enumerate_zero_sum(g, spec):
                 assert _poly_subset_stream(g, b) == poly_subset_expansion(g, b)
+                assert _poly_nbb_stream(g, b, order) == poly_nbb(g, b, order)
+
+
+# Two 12-edge graphs, so both algorithms take the scan route above 10 edges.
+W6 = MultiGraph.from_pairs(7, [(i, (i + 1) % 6) for i in range(6)] + [(i, 6) for i in range(6)])
+K34 = MultiGraph.from_pairs(7, [(i, 3 + j) for i in range(3) for j in range(4)])
+
+
+def test_large_wheel_zero_boundary_closed_form():
+    b = BFunction.zero(Z3, 7)
+    wheel = IntPolynomial((62, -191, 240, -160, 60, -12, 1))  # (k - 2)^6 + (k - 2)
+    assert poly_subset_expansion(W6, b) == wheel
+    assert poly_nbb(W6, b) == wheel
+    assert wheel.eval(3) == count_nz_flows_bruteforce(W6, b)
+
+
+def test_large_bipartite_zero_boundary_matches_bruteforce():
+    b = BFunction.zero(Z3, 7)
+    poly = poly_subset_expansion(K34, b)
+    assert poly_nbb(K34, b) == poly
+    assert poly.eval(3) == count_nz_flows_bruteforce(K34, b) > 0
+
+
+@pytest.mark.parametrize("g", [W6, K34], ids=["W6", "K3,4"])
+@pytest.mark.parametrize(
+    "b",
+    [
+        BFunction(Z3, ((1,), (2,), (0,), (0,), (1,), (2,), (0,))),
+        BFunction(Z2XZ2, ((1, 0), (0, 1), (1, 1), (0, 0), (0, 0), (0, 0), (0, 0))),
+    ],
+    ids=["Z3", "Z2xZ2"],
+)
+def test_large_nonzero_boundary_algorithms_agree(g, b):
+    expected = poly_subset_expansion(g, b)
+    rng = random.Random(3)
+    orders = [None, EdgeOrder.shuffled(g, rng), EdgeOrder.shuffled(g, rng)]
+    for order in orders:
+        assert poly_nbb(g, b, order) == expected
+    assert expected.eval(b.spec.order) == count_nz_flows_bruteforce(g, b) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +366,26 @@ def test_k4_connectivity_over_small_groups():
     assert not ok
     ok, _ = is_A_connected(k4(), parse_group("Z6"))
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# Caches.
+
+
+def test_clear_caches_empties_every_cache():
+    caches = (
+        abelian.index_tables,
+        abelian.residue_strides,
+        graphs._lambda_family_cached,
+        flows._boundary_histogram,
+        assigning._structure,
+        assigning._poly_from_signature,
+    )
+    lambda_family(complete(4))
+    abelian.index_tables(Z3)
+    b = BFunction.zero(Z3, 3)
+    poly_subset_expansion(triangle(), b)
+    count_nz_flows_bruteforce(triangle(), b)
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    flowpoly.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)

@@ -303,6 +303,15 @@ def test_check_cycles_catalog(capsys):
     assert report["pass"] is True
 
 
+def test_check_honours_budget(capsys):
+    code, report, err = run_cli(
+        capsys, "check", "--catalog", "complete", "--max-n", "4", "--budget", "1"
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "resource guard" in err
+
+
 def test_check_is_byte_deterministic(capsys):
     args = ["check", "--catalog", "random", "--seed", "9", "--max-n", "3", "--max-m", "4"]
     code1 = main(args)
