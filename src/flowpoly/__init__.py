@@ -69,6 +69,7 @@ def clear_caches() -> None:
         abelian.index_tables,
         abelian.residue_strides,
         graphs._lambda_family_cached,
+        graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
         assigning._poly_from_signature,

@@ -8,14 +8,19 @@ two independent ways:
 * ``poly_nbb``: signless coefficients a_i counted as the compatible i-edge
   subsets containing no compatible broken bond for a chosen edge order.
 
+Both walk the edge subsets in one depth-first scan: edges are deleted or
+kept one at a time, a union-find undone on backtrack carries each block's
+b-sum, and a subtree whose deleted edges already contain a compatible
+broken bond is skipped whole.  A bond E[X, W - X] of a b-compatible graph is
+compatible exactly when b sums to zero on its side X, so the broken bonds
+come from the graph's cached bond sides and one vertex sum each.
+
 Whether G - S is compatible with b depends only on the connected partition
-of G - S, so for small graphs a per-subset partition table is precomputed
-and results are memoized per compatibility signature (the bitmask saying
-which partitions are compatible).  Larger graphs are scanned depth first
-instead: edges are deleted or kept one at a time, a union-find undone on
-backtrack carries each block's b-sum, and a subtree whose deleted edges
-already contain a compatible broken bond is skipped whole.  Both
-algorithms share that one scan.
+of G - S.  So for subset expansion on graphs of at most 10 edges, which
+the verification sweep calls once for every b of a graph, a per-subset
+partition table is built once per graph and results are memoized per
+compatibility signature (the bitmask saying which partitions are
+compatible); larger graphs take the scan.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from .flows import (
     _check_vertex_function,
     count_nz_flows_bruteforce,
     enumerate_zero_sum,
-    is_b_compatible,
     require_compatible,
+    vertex_sum,
 )
-from .graphs import EdgeSet, MultiGraph, bonds, cycle_rank, delete_edges, lambda_family
+from .graphs import EdgeSet, MultiGraph, bond_sides, cycle_rank, lambda_family
 from .polynomial import IntPolynomial
 
 DEFAULT_MAX_EDGES = 24
@@ -105,14 +110,17 @@ class EdgeOrder:
 def induced_assigning(g: MultiGraph, b: BFunction) -> Assigning:
     """The assigning of b: a member X gets 0 exactly when b sums to zero on X."""
     _check_vertex_function(g, b)
-    spec = b.spec
-    entries = []
-    for member in lambda_family(g):
-        total = spec.zero
-        for v in sorted(member):
-            total = spec.add(total, b.values[v])
-        entries.append((tuple(sorted(member)), 0 if spec.is_zero(total) else 1))
-    return Assigning(tuple(entries))
+    entries = tuple(
+        (tuple(sorted(member)), 1 if any(vertex_sum(b, member)) else 0)
+        for member in lambda_family(g)
+    )
+    return Assigning(entries)
+
+
+def _element_indices(b: BFunction) -> list[int]:
+    """b's values as group-element indices, the form index_tables works on."""
+    strides = residue_strides(b.spec)
+    return [sum(r * s for r, s in zip(v, strides)) for v in b.values]
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +156,6 @@ class _SubsetStructure:
     partition_id: tuple[int, ...]  # per edge-subset mask
     mg: tuple[int, ...]  # cycle rank of G - S per mask
     signs: tuple[int, ...]  # (-1)^|S| per mask
-    bond_masks: tuple[int, ...]
-    bond_pids: tuple[int, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -172,22 +178,8 @@ def _structure(g: MultiGraph) -> _SubsetStructure:
         size = mask.bit_count()
         mg.append(m - size - n + len(part))
         signs.append(1 if size % 2 == 0 else -1)
-    pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
-    bond_masks: list[int] = []
-    bond_pids: list[int] = []
-    for bond in bonds(g):
-        mask = 0
-        for edge_id in bond:
-            mask |= 1 << pos_of[edge_id]
-        bond_masks.append(mask)
-        bond_pids.append(partition_id[mask])
     return _SubsetStructure(
-        tuple(partitions),
-        tuple(partition_id),
-        tuple(mg),
-        tuple(signs),
-        tuple(bond_masks),
-        tuple(bond_pids),
+        tuple(partitions), tuple(partition_id), tuple(mg), tuple(signs)
     )
 
 
@@ -204,8 +196,7 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     _check_vertex_function(g, b)
     st = _structure(g)
     add, _ = index_tables(b.spec)
-    strides = residue_strides(b.spec)
-    idx = [sum(r * s for r, s in zip(v, strides)) for v in b.values]
+    idx = _element_indices(b)
     bits = 0
     for j, partition in enumerate(st.partitions):
         for block in partition:
@@ -281,8 +272,7 @@ def _scan(
             return hist
         ends[mask.bit_length() - 1].append(mask)
     add, _ = index_tables(b.spec)
-    strides = residue_strides(b.spec)
-    total = [sum(r * s for r, s in zip(v, strides)) for v in b.values]
+    total = _element_indices(b)
     parent = list(range(n))
     size = [1] * n
     pairs = g.pairs()
@@ -349,10 +339,15 @@ def _poly_subset_stream(g: MultiGraph, b: BFunction) -> IntPolynomial:
 
 
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
-    """Bonds whose removal leaves the graph compatible with b."""
+    """Bonds whose removal leaves the graph compatible with b.
+
+    In a compatible graph, removing E[X, W - X] leaves every component but
+    X and W - X alone, and b sums to zero on W, so the bond is compatible
+    exactly when b sums to zero on its side X.
+    """
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    return [bond for bond in bonds(g) if is_b_compatible(delete_edges(g, bond), b)]
+    return [bond for bond, side in bond_sides(g) if not any(vertex_sum(b, side))]
 
 
 def broken_bonds(
@@ -370,23 +365,6 @@ def broken_bonds(
     return sorted(out, key=sorted)
 
 
-def _broken_masks_from_structure(
-    g: MultiGraph, st: _SubsetStructure, sigma: int, order: EdgeOrder
-) -> list[int]:
-    rank = order.rank_map()
-    position_rank = [rank[edge.id] for edge in g.edges]
-    broken = set()
-    for mask, pid in zip(st.bond_masks, st.bond_pids):
-        if not sigma >> pid & 1:
-            continue
-        best = max(
-            (i for i in range(g.edge_count) if mask >> i & 1),
-            key=position_rank.__getitem__,
-        )
-        broken.add(mask & ~(1 << best))
-    return sorted(broken)
-
-
 def poly_nbb(
     g: MultiGraph,
     b: BFunction,
@@ -399,47 +377,19 @@ def poly_nbb(
     The signless coefficient a_i is the number of i-edge subsets S such that
     G - S stays compatible with b and S contains no compatible broken bond
     for the given edge order; the polynomial is sum (-1)^i a_i k^(m(G)-i).
-    Any subset containing a broken bond is skipped outright, which is the
-    only pruning the count needs.
+    The subsets are counted by the depth-first scan at every edge count,
+    which skips each subtree whose deleted edges contain a broken bond.
     """
     _check_vertex_function(g, b)
     _guard_edges(g, max_edges)
-    if order is None:
-        order = EdgeOrder.default(g)
-    order.validate_for(g)
-    if g.edge_count > _TABLE_MAX_EDGES:
-        return _poly_nbb_stream(g, b, order)
-    top = cycle_rank(g)
-    counts = [0] * (top + 1)
-    sigma = compat_signature(g, b)
-    if not sigma & 1:
-        require_compatible(g, b)
-    st = _structure(g)
-    broken = _broken_masks_from_structure(g, st, sigma, order)
-    partition_id = st.partition_id
-    for mask in range(len(partition_id)):
-        if not sigma >> partition_id[mask] & 1:
-            continue
-        if any(mask & bb == bb for bb in broken):
-            continue
-        size = mask.bit_count()
-        if size > top:
-            raise ConsistencyError(
-                f"a {size}-edge subset survived although m(G) = {top}"
-            )
-        counts[size] += 1
-    return IntPolynomial.from_signless(counts, top)
-
-
-def _poly_nbb_stream(g: MultiGraph, b: BFunction, order: EdgeOrder) -> IntPolynomial:
-    require_compatible(g, b)
-    top = cycle_rank(g)
-    counts = [0] * (top + 1)
     pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
+    # broken_bonds validates the order and requires g to be compatible with b.
     broken = [
         sum(1 << pos_of[edge_id] for edge_id in bond)
         for bond in broken_bonds(g, b, order)
     ]
+    top = cycle_rank(g)
+    counts = [0] * (top + 1)
     for size, row in enumerate(_scan(g, b, broken)):
         count = sum(row)
         if not count:

@@ -256,6 +256,10 @@ def cmd_lambda(args) -> tuple[dict, int]:
             f"graph has {g.vertex_count} vertices, above the guard {LAMBDA_GUARD}; "
             "pass --force to enumerate anyway"
         )
+    if 1 << g.vertex_count > args.budget:
+        raise BudgetError(
+            f"enumeration of 2^{g.vertex_count} vertex subsets exceeds budget {args.budget}"
+        )
     family = lambda_family(g)
     report = {
         "command": "lambda",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .abelian import GroupElement, GroupSpec, index_tables
 from .errors import BudgetError, IncompatibleError, InputError
@@ -79,15 +79,25 @@ def boundary(g: MultiGraph, f: EdgeFunction) -> BFunction:
     return BFunction(spec, tuple(acc))
 
 
+def vertex_sum(b: BFunction, vertices: Collection[int]) -> GroupElement:
+    """The sum of b over a vertex set.
+
+    Residues are added as plain integers and reduced once: b's values were
+    validated when b was built, so nothing is checked again here.
+    """
+    values = b.values
+    return tuple(
+        sum(values[v][i] for v in vertices) % order
+        for i, order in enumerate(b.spec.cyclic_orders)
+    )
+
+
 def incompatible_component(g: MultiGraph, b: BFunction) -> tuple[VertexSet, GroupElement] | None:
     """The first component whose b-values do not sum to zero, with that sum."""
     _check_vertex_function(g, b)
-    spec = b.spec
     for comp in components(g):
-        total = spec.zero
-        for v in sorted(comp):
-            total = spec.add(total, b.values[v])
-        if not spec.is_zero(total):
+        total = vertex_sum(b, comp)
+        if any(total):
             return comp, total
     return None
 

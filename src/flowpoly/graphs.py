@@ -180,10 +180,20 @@ def bonds(g: MultiGraph) -> list[EdgeSet]:
 
     A bond lives inside a single component W and is the crossing edge set
     E[X, W - X] of a split of W into two connected halves; loops never
-    appear.  Halves are deduplicated by pinning the least vertex of W to X.
+    appear.
+    """
+    return [bond for bond, _ in bond_sides(g)]
+
+
+@lru_cache(maxsize=4096)
+def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
+    """Every bond E[X, W - X] with its anchored side X, in bonds() order.
+
+    X is the half holding the least vertex of W, which also deduplicates the
+    two halves; every such X is a member of the lambda family.
     """
     adj = _adjacency(g)
-    found: list[EdgeSet] = []
+    found: list[tuple[EdgeSet, VertexSet]] = []
     for comp in components(g):
         if len(comp) < 2:
             continue
@@ -205,8 +215,8 @@ def bonds(g: MultiGraph) -> list[EdgeSet]:
             cut = frozenset(
                 e.id for e in g.edges if (e.tail in side_f) != (e.head in side_f)
             )
-            found.append(cut)
-    return sorted(found, key=sorted)
+            found.append((cut, side_f))
+    return tuple(sorted(found, key=lambda pair: sorted(pair[0])))
 
 
 def bridges(g: MultiGraph) -> list[int]:

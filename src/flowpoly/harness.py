@@ -29,7 +29,7 @@ from .flows import (
     enumerate_zero_sum,
     nz_flow_boundary_counts,
 )
-from .graphs import MultiGraph, reverse_edge
+from .graphs import MultiGraph, bonds, component_count, cycle_rank, reverse_edge
 from .polynomial import IntPolynomial
 
 DEFAULT_GROUP_NAMES = ("Z2", "Z3", "Z4", "Z2xZ2")
@@ -159,11 +159,9 @@ def _check_graph(
             f"the verification harness handles at most {asg._TABLE_MAX_EDGES} "
             f"edges per graph, got {g.edge_count}"
         )
-    st = asg._structure(g)
-    top = st.mg[0]
-    component_total = len(st.partitions[0])
-    bridgeless = all(mask.bit_count() > 1 for mask in st.bond_masks)
-    two_edge_connected = bridgeless and component_total <= 1
+    top = cycle_rank(g)
+    bridgeless = all(len(bond) > 1 for bond in bonds(g))
+    two_edge_connected = bridgeless and component_count(g) <= 1
 
     merged: dict[int, _SignatureClass] = {}
     per_spec_classes: list[dict[int, _SignatureClass]] = []
@@ -233,7 +231,7 @@ def _check_graph(
         alpha_bits[sigma] = _alpha_bits(g, cls.representative)
 
     _check_algorithms(index, g, merged, polys, suites, seed, random_orders, label)
-    _check_lemmas(g, st, merged, suites, seed, pairing_orders, label)
+    _check_lemmas(g, merged, suites, seed, pairing_orders, label)
     _check_group_invariance(g, specs, per_spec_classes, histograms, polys, suites, label)
     _check_monotonicity(g, merged, alpha_bits, signless, suites, comparison_calls, label)
 
@@ -292,7 +290,6 @@ def _check_algorithms(
 
 def _check_lemmas(
     g: MultiGraph,
-    st: asg._SubsetStructure,
     merged: dict[int, _SignatureClass],
     suites: dict[str, SuiteResult],
     seed: int,
@@ -301,9 +298,11 @@ def _check_lemmas(
 ) -> None:
     suite_in = suites["inclusion_lemma"]
     suite_pair = suites["broken_bond_pairing"]
-    subset_count = len(st.partition_id)
-    for sigma in merged:
-        compat = [sigma >> pid & 1 for pid in st.partition_id]
+    partition_id = asg._structure(g).partition_id
+    subset_count = len(partition_id)
+    pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
+    for sigma, cls in merged.items():
+        compat = [sigma >> pid & 1 for pid in partition_id]
         # Deleting one more edge never breaks compatibility; the general
         # subset-pair statement follows by chaining single removals.
         suite_in.checked += 1
@@ -328,19 +327,16 @@ def _check_lemmas(
         for _ in range(pairing_orders):
             orders.append(asg.EdgeOrder.shuffled(g, rng))
         full = subset_count - 1
+        compatible_bonds = [
+            (bond, sum(1 << pos_of[edge_id] for edge_id in bond))
+            for bond in asg.b_compatible_bonds(g, cls.representative)
+        ]
         for order in orders:
             broken_ok = True
             rank = order.rank_map()
-            position_rank = [rank[edge.id] for edge in g.edges]
             suite_pair.checked += 1
-            for bond_mask, pid in zip(st.bond_masks, st.bond_pids):
-                if not sigma >> pid & 1:
-                    continue
-                top_pos = max(
-                    (i for i in range(g.edge_count) if bond_mask >> i & 1),
-                    key=position_rank.__getitem__,
-                )
-                top_bit = 1 << top_pos
+            for bond, bond_mask in compatible_bonds:
+                top_bit = 1 << pos_of[max(bond, key=rank.__getitem__)]
                 base = bond_mask & ~top_bit
                 free = full & ~bond_mask
                 t = free

@@ -8,7 +8,7 @@ polynomial is the empty coefficient tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
@@ -74,16 +74,6 @@ class IntPolynomial:
             value = value * k + c
         return value
 
-    def add_term(self, sign: int, power: int) -> "IntPolynomial":
-        """A copy with the coefficient at `power` shifted by sign (+1 or -1)."""
-        if sign not in (1, -1):
-            raise InputError("sign must be +1 or -1")
-        if power < 0:
-            raise InputError("power must be >= 0")
-        coeffs = list(self.coefficients) + [0] * max(0, power + 1 - len(self.coefficients))
-        coeffs[power] += sign
-        return IntPolynomial(tuple(coeffs))
-
     def signless_coefficients(self, top_degree: int) -> tuple[int, ...]:
         """(a_0, ..., a_top) with p = sum_i (-1)^i a_i k^(top_degree - i)."""
         if self.degree > top_degree:
@@ -118,13 +108,3 @@ class IntPolynomial:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def accumulate_terms(terms: Iterable[tuple[int, int]]) -> IntPolynomial:
-    """Sum of sign * k^power contributions, one pass, exact."""
-    coeffs: list[int] = []
-    for sign, power in terms:
-        if power >= len(coeffs):
-            coeffs.extend([0] * (power + 1 - len(coeffs)))
-        coeffs[power] += sign
-    return IntPolynomial(tuple(coeffs))

@@ -13,7 +13,6 @@ from flowpoly import abelian, assigning, flows, graphs
 from flowpoly.abelian import parse_group
 from flowpoly.assigning import (
     EdgeOrder,
-    _poly_nbb_stream,
     _poly_subset_stream,
     b_compatible_bonds,
     broken_bonds,
@@ -26,8 +25,13 @@ from flowpoly.assigning import (
 )
 from flowpoly.catalog import complete
 from flowpoly.errors import BudgetError, IncompatibleError, InputError
-from flowpoly.flows import BFunction, count_nz_flows_bruteforce, enumerate_zero_sum
-from flowpoly.graphs import MultiGraph, lambda_family
+from flowpoly.flows import (
+    BFunction,
+    count_nz_flows_bruteforce,
+    enumerate_zero_sum,
+    is_b_compatible,
+)
+from flowpoly.graphs import MultiGraph, bonds, delete_edges, lambda_family
 from flowpoly.polynomial import IntPolynomial
 
 from conftest import SMALL_GROUPS, k4, multigraphs, single_edge, single_loop, triangle
@@ -35,6 +39,11 @@ from conftest import SMALL_GROUPS, k4, multigraphs, single_edge, single_loop, tr
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
 Z2XZ2 = parse_group("Z2xZ2")
+
+# The acceptance groups plus larger and non-cyclic ones of orders 5 to 9.
+WIDE_GROUPS = SMALL_GROUPS + tuple(
+    parse_group(name) for name in ("Z5", "Z6", "Z2xZ3", "Z3xZ3")
+)
 
 K_MINUS_1 = IntPolynomial((-1, 1))
 
@@ -109,8 +118,9 @@ def test_stream_path_matches_table_path():
         order = EdgeOrder.shuffled(g, order_rng)
         for spec in (Z2, Z2XZ2):
             for b in enumerate_zero_sum(g, spec):
-                assert _poly_subset_stream(g, b) == poly_subset_expansion(g, b)
-                assert _poly_nbb_stream(g, b, order) == poly_nbb(g, b, order)
+                expected = poly_subset_expansion(g, b)
+                assert _poly_subset_stream(g, b) == expected
+                assert poly_nbb(g, b, order) == expected
 
 
 # Two 12-edge graphs, so both algorithms take the scan route above 10 edges.
@@ -179,6 +189,24 @@ def test_broken_bonds_bridge_gives_empty_set():
     assert broken_bonds(single_edge(), BFunction(Z2, ((1,), (1,)))) == []
 
 
+@settings(max_examples=50, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=8), st.data())
+def test_side_sums_match_definitions(g, data):
+    # The side-sum shortcut against the definitions: a bond is compatible
+    # when deleting it leaves G compatible, and an assigning bit is the
+    # group sum of b over its member.
+    spec = data.draw(st.sampled_from(WIDE_GROUPS))
+    b = data.draw(st.sampled_from(list(enumerate_zero_sum(g, spec))))
+    assert b_compatible_bonds(g, b) == [
+        bond for bond in bonds(g) if is_b_compatible(delete_edges(g, bond), b)
+    ]
+    for member, bit in induced_assigning(g, b).entries:
+        total = spec.zero
+        for v in member:
+            total = spec.add(total, b.values[v])
+        assert bit == (0 if spec.is_zero(total) else 1)
+
+
 def test_broken_bonds_respect_order():
     g = triangle()
     b = BFunction.zero(Z2, 3)
@@ -212,7 +240,7 @@ def test_poly_nbb_order_validation():
 @settings(max_examples=50, deadline=None)
 @given(multigraphs(max_vertices=4, max_edges=6), st.data())
 def test_algorithm_equivalence(g, data):
-    spec = data.draw(st.sampled_from(SMALL_GROUPS))
+    spec = data.draw(st.sampled_from(WIDE_GROUPS))
     b = data.draw(st.sampled_from([b for b in enumerate_zero_sum(g, spec)]))
     expected = poly_subset_expansion(g, b)
     rng = random.Random(data.draw(st.integers(0, 2**16)))
@@ -224,7 +252,7 @@ def test_algorithm_equivalence(g, data):
 @settings(max_examples=50, deadline=None)
 @given(multigraphs(max_vertices=4, max_edges=5), st.data())
 def test_oracle_equivalence(g, data):
-    spec = data.draw(st.sampled_from(SMALL_GROUPS))
+    spec = data.draw(st.sampled_from(WIDE_GROUPS))
     b = data.draw(st.sampled_from([b for b in enumerate_zero_sum(g, spec)]))
     assert poly_subset_expansion(g, b).eval(spec.order) == count_nz_flows_bruteforce(g, b)
 
@@ -377,11 +405,13 @@ def test_clear_caches_empties_every_cache():
         abelian.index_tables,
         abelian.residue_strides,
         graphs._lambda_family_cached,
+        graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
         assigning._poly_from_signature,
     )
     lambda_family(complete(4))
+    bonds(complete(4))
     abelian.index_tables(Z3)
     b = BFunction.zero(Z3, 3)
     poly_subset_expansion(triangle(), b)

@@ -225,6 +225,14 @@ def test_lambda_triangle(capsys, c3_file):
     assert report["alpha"] == [0] * 6
 
 
+def test_lambda_force_honours_budget(capsys, tmp_path):
+    graph = tmp_path / "path30.graph"
+    graph.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(29)))
+    code, _, err = run_cli(capsys, "lambda", str(graph), "--force", "--budget", "1000")
+    assert code == EXIT_RESOURCE
+    assert "resource guard" in err
+
+
 def test_lambda_isolated_vertex(capsys, tmp_path):
     graph = tmp_path / "v.graph"
     graph.write_text("1 0\n")

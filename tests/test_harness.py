@@ -9,6 +9,7 @@ from flowpoly.harness import (
     run_classical_checks,
     run_verification,
 )
+from flowpoly.polynomial import IntPolynomial
 
 from conftest import k4, single_edge, single_loop, triangle
 
@@ -37,7 +38,8 @@ def test_harness_detects_wrong_nbb(monkeypatch):
     real = asg.poly_nbb
 
     def corrupted(g, b, order=None, **kwargs):
-        return real(g, b, order, **kwargs).add_term(1, 0)
+        coeffs = real(g, b, order, **kwargs).coefficients or (0,)
+        return IntPolynomial((coeffs[0] + 1,) + coeffs[1:])
 
     monkeypatch.setattr(harness.asg, "poly_nbb", corrupted)
     report = run_verification([triangle()], (parse_group("Z2"),), seed=0)

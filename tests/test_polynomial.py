@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowpoly.errors import InputError
-from flowpoly.polynomial import IntPolynomial, accumulate_terms
+from flowpoly.polynomial import IntPolynomial
 
 K_MINUS_1 = IntPolynomial((-1, 1))
 K4_POLY = IntPolynomial((-6, 11, -6, 1))
@@ -32,12 +32,6 @@ def test_eval_k4_vanishes_at_two():
 def test_eval_rejects_negative():
     with pytest.raises(InputError):
         K_MINUS_1.eval(-1)
-
-
-def test_add_term():
-    assert IntPolynomial.zero().add_term(1, 1) == IntPolynomial((0, 1))
-    assert IntPolynomial((0, 1)).add_term(-1, 0) == K_MINUS_1
-    assert K_MINUS_1.add_term(-1, 1) == IntPolynomial((-1,))
 
 
 def test_trailing_zeros_normalized():
@@ -71,21 +65,8 @@ small_polys = st.builds(
 )
 
 
-@given(small_polys, st.sampled_from([1, -1]), st.integers(0, 8), st.integers(0, 10))
-def test_add_term_matches_eval(p, sign, power, k):
-    assert p.add_term(sign, power).eval(k) == p.eval(k) + sign * k**power
-
-
 @given(small_polys, st.integers(0, 4))
 def test_signless_round_trip(p, slack):
     top = max(p.degree, 0) + slack
     rebuilt = IntPolynomial.from_signless(p.signless_coefficients(top), top)
     assert rebuilt == p
-
-
-@given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 6)), max_size=30))
-def test_accumulate_terms(terms):
-    expected = IntPolynomial.zero()
-    for sign, power in terms:
-        expected = expected.add_term(sign, power)
-    assert accumulate_terms(terms) == expected
