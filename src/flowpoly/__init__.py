@@ -68,6 +68,7 @@ def clear_caches() -> None:
     for cache in (
         abelian.index_tables,
         abelian.residue_strides,
+        graphs.components,
         graphs._lambda_family_cached,
         graphs.bond_sides,
         flows._boundary_histogram,

@@ -20,7 +20,10 @@ of G - S.  So for subset expansion on graphs of at most 10 edges, which
 the verification sweep calls once for every b of a graph, a per-subset
 partition table is built once per graph and results are memoized per
 compatibility signature (the bitmask saying which partitions are
-compatible); larger graphs take the scan.
+compatible); larger graphs take the scan.  The table comes from one
+depth-first pass of its own that needs no union-find: it carries each
+partition as a tuple of least-vertex block labels, relabelled when a kept
+edge joins two blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .abelian import GroupSpec, index_tables, residue_strides
 from .errors import BudgetError, ConsistencyError, InputError
@@ -127,29 +130,6 @@ def _element_indices(b: BFunction) -> list[int]:
 # Per-subset partition tables for small graphs.
 
 
-def _partition_of_mask(
-    pairs: Sequence[tuple[int, int]], n: int, mask: int
-) -> tuple[tuple[int, ...], ...]:
-    """Connected partition of the graph with the masked edges removed."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (t, h) in enumerate(pairs):
-        if not mask >> i & 1:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rh] = rt
-    blocks: dict[int, list[int]] = {}
-    for v in range(n):
-        blocks.setdefault(find(v), []).append(v)
-    return tuple(tuple(block) for block in sorted(blocks.values()))
-
-
 @dataclass(frozen=True)
 class _SubsetStructure:
     partitions: tuple[tuple[tuple[int, ...], ...], ...]  # partitions[0] = components of G
@@ -160,27 +140,45 @@ class _SubsetStructure:
 
 @lru_cache(maxsize=4096)
 def _structure(g: MultiGraph) -> _SubsetStructure:
+    """The partition of G - S for every mask S (bit i is the edge at position i).
+
+    The walk decides edges from the last position down, keep before delete,
+    so leaves arrive in increasing mask order; a kept edge between two blocks
+    relabels the higher label to the lower.  Ids follow first occurrence.
+    """
     n, m = g.vertex_count, g.edge_count
     pairs = g.pairs()
-    index: dict[tuple[tuple[int, ...], ...], int] = {}
+    leaves: list[tuple[int, ...]] = []
+
+    def descend(i: int, labels: tuple[int, ...]) -> None:
+        x, y = pairs[i]
+        lx, ly = labels[x], labels[y]
+        kept = labels
+        if lx != ly:
+            low, high = (lx, ly) if lx < ly else (ly, lx)
+            kept = tuple([low if label == high else label for label in labels])
+        if i:
+            descend(i - 1, kept)
+            descend(i - 1, labels)
+        else:  # the children of the first edge are leaves
+            leaves.extend((kept, labels))
+
+    if m:
+        descend(m - 1, tuple(range(n)))
+    else:
+        leaves.append(tuple(range(n)))
+    index: dict[tuple[int, ...], int] = {}
+    partition_id = tuple([index.setdefault(labels, len(index)) for labels in leaves])
     partitions: list[tuple[tuple[int, ...], ...]] = []
-    partition_id: list[int] = []
-    mg: list[int] = []
-    signs: list[int] = []
-    for mask in range(1 << m):
-        part = _partition_of_mask(pairs, n, mask)
-        pid = index.get(part)
-        if pid is None:
-            pid = len(partitions)
-            index[part] = pid
-            partitions.append(part)
-        partition_id.append(pid)
-        size = mask.bit_count()
-        mg.append(m - size - n + len(part))
-        signs.append(1 if size % 2 == 0 else -1)
-    return _SubsetStructure(
-        tuple(partitions), tuple(partition_id), tuple(mg), tuple(signs)
-    )
+    for labels in index:  # first occurrence order; blocks by least member
+        members: dict[int, list[int]] = {}
+        for v, label in enumerate(labels):
+            members.setdefault(label, []).append(v)
+        partitions.append(tuple(map(tuple, members.values())))
+    sizes = [mask.bit_count() for mask in range(1 << m)]
+    mg = tuple([m - size - n + len(partitions[pid]) for size, pid in zip(sizes, partition_id)])
+    signs = tuple([-1 if size & 1 else 1 for size in sizes])
+    return _SubsetStructure(tuple(partitions), partition_id, mg, signs)
 
 
 def compat_signature(g: MultiGraph, b: BFunction) -> int:

@@ -150,14 +150,16 @@ def _parse_order(args, g: MultiGraph) -> asg.EdgeOrder | None:
 
 
 def _subset_guard(args, g: MultiGraph) -> int | None:
-    if args.force:
-        return None
-    if g.edge_count > SUBSET_GUARD:
+    if not args.force and g.edge_count > SUBSET_GUARD:
         raise BudgetError(
             f"graph has {g.edge_count} edges, above the default guard {SUBSET_GUARD}; "
             "pass --force to enumerate anyway"
         )
-    return SUBSET_GUARD
+    if 1 << g.edge_count > args.budget:
+        raise BudgetError(
+            f"enumeration of 2^{g.edge_count} edge subsets exceeds budget {args.budget}"
+        )
+    return None if args.force else SUBSET_GUARD
 
 
 def _edge_sets(sets) -> list[list[int]]:
@@ -381,14 +383,18 @@ def _add_b_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--b-file", help="path to a boundary-function document")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--force", action="store_true", help="lift the size guards")
+def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max brute-force enumeration steps",
+        help="max brute-force enumeration steps and enumerated subsets",
     )
+
+
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--force", action="store_true", help="lift the size guards")
+    _add_budget_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=6)
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("connectivity", help="decide group connectivity")

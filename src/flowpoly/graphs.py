@@ -94,6 +94,7 @@ class _DSU:
             self.parent[rb] = ra
 
 
+@lru_cache(maxsize=4096)
 def components(g: MultiGraph) -> tuple[VertexSet, ...]:
     """Connected-component vertex partition, blocks sorted by least member."""
     dsu = _DSU(g.vertex_count)

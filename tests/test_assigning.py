@@ -31,7 +31,14 @@ from flowpoly.flows import (
     enumerate_zero_sum,
     is_b_compatible,
 )
-from flowpoly.graphs import MultiGraph, bonds, delete_edges, lambda_family
+from flowpoly.graphs import (
+    MultiGraph,
+    bonds,
+    components,
+    cycle_rank,
+    delete_edges,
+    lambda_family,
+)
 from flowpoly.polynomial import IntPolynomial
 
 from conftest import SMALL_GROUPS, k4, multigraphs, single_edge, single_loop, triangle
@@ -121,6 +128,53 @@ def test_stream_path_matches_table_path():
                 expected = poly_subset_expansion(g, b)
                 assert _poly_subset_stream(g, b) == expected
                 assert poly_nbb(g, b, order) == expected
+
+
+def _random_compatible_b(g: MultiGraph, spec, rng: random.Random) -> BFunction:
+    """Random values, then each component's least vertex balances its sum."""
+    values = [[rng.randrange(q) for q in spec.cyclic_orders] for _ in range(g.vertex_count)]
+    for block in components(g):
+        anchor, *rest = sorted(block)
+        for i, q in enumerate(spec.cyclic_orders):
+            values[anchor][i] = -sum(values[v][i] for v in rest) % q
+    return BFunction(spec, tuple(tuple(v) for v in values))
+
+
+def test_subset_table_matches_definition():
+    # The sizes poly_small draws: n <= 7, m <= 10, loops and parallel edges.
+    rng = random.Random(2024)
+    seen_loop = seen_parallel = False
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        m = rng.randint(0, 10)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+        seen_loop |= any(t == h for t, h in pairs)
+        seen_parallel |= len({frozenset(p) for p in pairs}) < m
+        g = MultiGraph.from_pairs(n, pairs)
+        table = assigning._structure(g)
+        assert len(table.partition_id) == len(table.mg) == len(table.signs) == 1 << m
+        first_seen: list[int] = []
+        for mask, pid in enumerate(table.partition_id):
+            if pid not in first_seen:
+                assert pid == len(first_seen)
+                first_seen.append(pid)
+            removed = [e.id for i, e in enumerate(g.edges) if mask >> i & 1]
+            rest = delete_edges(g, removed)
+            expected = tuple(tuple(sorted(block)) for block in components(rest))
+            assert table.partitions[pid] == expected
+            assert table.mg[mask] == cycle_rank(rest)
+            assert table.signs[mask] == (-1) ** len(removed)
+        assert len(first_seen) == len(table.partitions)
+
+        order = EdgeOrder.shuffled(g, rng)
+        for spec in WIDE_GROUPS:
+            b = _random_compatible_b(g, spec, rng)
+            expected = poly_subset_expansion(g, b)
+            assert _poly_subset_stream(g, b) == expected
+            assert poly_nbb(g, b, order) == expected
+            if (spec.order - 1) ** m <= 10**5:
+                assert expected.eval(spec.order) == count_nz_flows_bruteforce(g, b)
+    assert seen_loop and seen_parallel
 
 
 # Two 12-edge graphs, so both algorithms take the scan route above 10 edges.
@@ -404,6 +458,7 @@ def test_clear_caches_empties_every_cache():
     caches = (
         abelian.index_tables,
         abelian.residue_strides,
+        graphs.components,
         graphs._lambda_family_cached,
         graphs.bond_sides,
         flows._boundary_histogram,

@@ -50,6 +50,15 @@ def k2_file(tmp_path):
     return str(target)
 
 
+@pytest.fixture
+def k8_file(tmp_path):
+    """K8: 28 edges, so 2^28 edge subsets, above the default guard of 24."""
+    target = tmp_path / "k8.graph"
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    target.write_text(f"8 {len(pairs)}\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+    return str(target)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -164,6 +173,15 @@ def test_poly_incompatible_b_exits_domain(capsys, k2_file, tmp_path):
     assert "component" in err
 
 
+def test_poly_force_honours_budget(capsys, k8_file):
+    code, report, err = run_cli(
+        capsys, "poly", k8_file, "--group", "Z3", "--force", "--budget", "1000"
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "resource guard" in err
+
+
 # ---------------------------------------------------------------------------
 # flows subcommand.
 
@@ -199,6 +217,17 @@ def test_flows_budget_exit(capsys, c3_file):
     )
     assert code == EXIT_RESOURCE
     assert "budget" in err
+
+
+def test_flows_nowhere_zero_force_honours_budget(capsys, k8_file):
+    # Over Z2 the brute-force guard sees (|A| - 1)^m = 1 step; the 2^m subsets remain.
+    code, report, err = run_cli(
+        capsys, "flows", k8_file, "--group", "Z2", "--nowhere-zero",
+        "--force", "--budget", "1000",
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "resource guard" in err
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +306,15 @@ def test_connectivity_compare_rejects_order_mismatch(capsys, c3_file):
     assert "order" in err
 
 
+def test_connectivity_force_honours_budget(capsys, k8_file):
+    code, report, err = run_cli(
+        capsys, "connectivity", k8_file, "--group", "Z2", "--force", "--budget", "1000"
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "resource guard" in err
+
+
 def test_decompose(capsys, c3_file):
     code, report, _ = run_cli(capsys, "decompose", c3_file, "--group", "Z2")
     assert code == 0
@@ -318,6 +356,13 @@ def test_check_honours_budget(capsys):
     assert code == EXIT_RESOURCE
     assert report is None
     assert "resource guard" in err
+
+
+def test_check_has_no_force_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--force"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--force" in capsys.readouterr().err
 
 
 def test_check_is_byte_deterministic(capsys):
