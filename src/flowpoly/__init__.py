@@ -42,6 +42,7 @@ from .flows import (
     enumerate_zero_sum,
     is_b_compatible,
     nz_flow_boundary_counts,
+    nz_flow_index_counts,
 )
 from .graphs import (
     Edge,
@@ -119,6 +120,7 @@ __all__ = [
     "is_b_compatible",
     "lambda_family",
     "nz_flow_boundary_counts",
+    "nz_flow_index_counts",
     "parse_group",
     "poly_nbb",
     "poly_subset_expansion",

@@ -4,6 +4,12 @@ A group is described structurally by the tuple of cyclic orders; two
 descriptions with the same order but different factors (say Z4 and Z2xZ2)
 are deliberately kept distinct.  Elements are tuples of reduced residues,
 one per cyclic factor.
+
+``GroupSpec.validate`` is for outside input: ``add``, ``negate`` and
+``index_of`` check their arguments, which makes them the slow path.  Inside
+the package an element is its index, its position in ``elements()``, and
+``index_tables`` adds and negates indices with no check at all; values
+read back from ``elements()`` are valid by construction.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .abelian import GroupSpec, index_tables, residue_strides
+from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
 from .flows import (
     BFunction,
@@ -114,16 +114,10 @@ def induced_assigning(g: MultiGraph, b: BFunction) -> Assigning:
     """The assigning of b: a member X gets 0 exactly when b sums to zero on X."""
     _check_vertex_function(g, b)
     entries = tuple(
-        (tuple(sorted(member)), 1 if any(vertex_sum(b, member)) else 0)
+        (tuple(sorted(member)), 1 if vertex_sum(b, member) else 0)
         for member in lambda_family(g)
     )
     return Assigning(entries)
-
-
-def _element_indices(b: BFunction) -> list[int]:
-    """b's values as group-element indices, the form index_tables works on."""
-    strides = residue_strides(b.spec)
-    return [sum(r * s for r, s in zip(v, strides)) for v in b.values]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     _check_vertex_function(g, b)
     st = _structure(g)
     add, _ = index_tables(b.spec)
-    idx = _element_indices(b)
+    idx = b.indices
     bits = 0
     for j, partition in enumerate(st.partitions):
         for block in partition:
@@ -270,7 +264,7 @@ def _scan(
             return hist
         ends[mask.bit_length() - 1].append(mask)
     add, _ = index_tables(b.spec)
-    total = _element_indices(b)
+    total = list(b.indices)
     parent = list(range(n))
     size = [1] * n
     pairs = g.pairs()
@@ -345,7 +339,7 @@ def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
     """
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    return [bond for bond, side in bond_sides(g) if not any(vertex_sum(b, side))]
+    return [bond for bond, side in bond_sides(g) if not vertex_sum(b, side)]
 
 
 def broken_bonds(
@@ -455,11 +449,12 @@ def is_A_connected(
 
     Counts via the subset-expansion polynomial evaluated at |A| and
     cross-checks each count against the brute-force oracle; on failure the
-    witness b with count zero is returned.
+    witness b with count zero is returned.  The budget caps both the
+    brute-force enumeration and the |A|^(n-c) boundary functions tried.
     """
     if spec.order < 2:
         raise InputError("connectivity needs a group of order >= 2")
-    for b in enumerate_zero_sum(g, spec):
+    for b in enumerate_zero_sum(g, spec, budget=budget):
         via_poly = poly_subset_expansion(g, b, max_edges=max_edges).eval(spec.order)
         via_brute = count_nz_flows_bruteforce(g, b, budget=budget)
         if via_poly != via_brute:

@@ -162,6 +162,14 @@ def _subset_guard(args, g: MultiGraph) -> int | None:
     return None if args.force else SUBSET_GUARD
 
 
+def _vertex_subset_budget(args, g: MultiGraph) -> None:
+    """The lambda family and the bond sides walk up to 2^n vertex subsets."""
+    if 1 << g.vertex_count > args.budget:
+        raise BudgetError(
+            f"enumeration of 2^{g.vertex_count} vertex subsets exceeds budget {args.budget}"
+        )
+
+
 def _edge_sets(sets) -> list[list[int]]:
     return [sorted(s) for s in sets]
 
@@ -233,6 +241,7 @@ def cmd_flows(args) -> tuple[dict, int]:
 
 def cmd_bonds(args) -> tuple[dict, int]:
     g = _load_graph(args)
+    _vertex_subset_budget(args, g)
     report = {
         "command": "bonds",
         "n": g.vertex_count,
@@ -258,10 +267,7 @@ def cmd_lambda(args) -> tuple[dict, int]:
             f"graph has {g.vertex_count} vertices, above the guard {LAMBDA_GUARD}; "
             "pass --force to enumerate anyway"
         )
-    if 1 << g.vertex_count > args.budget:
-        raise BudgetError(
-            f"enumeration of 2^{g.vertex_count} vertex subsets exceeds budget {args.budget}"
-        )
+    _vertex_subset_budget(args, g)
     family = lambda_family(g)
     report = {
         "command": "lambda",
@@ -282,6 +288,8 @@ def cmd_connectivity(args) -> tuple[dict, int]:
     g = _load_graph(args)
     spec = parse_group(args.group)
     guard = _subset_guard(args, g)
+    if args.compare is not None:
+        _vertex_subset_budget(args, g)  # induced_assigning walks the lambda family
     connected, witness = asg.is_A_connected(g, spec, budget=args.budget, max_edges=guard)
     report = {
         "command": "connectivity",
@@ -297,8 +305,14 @@ def cmd_connectivity(args) -> tuple[dict, int]:
                 f"comparison group {other} must share the order of {spec}"
             )
         other_connected, _ = asg.is_A_connected(g, other, budget=args.budget, max_edges=guard)
-        alphas = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, spec)}
-        alphas_other = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, other)}
+        alphas = {
+            asg.induced_assigning(g, b)
+            for b in enumerate_zero_sum(g, spec, budget=args.budget)
+        }
+        alphas_other = {
+            asg.induced_assigning(g, b)
+            for b in enumerate_zero_sum(g, other, budget=args.budget)
+        }
         hypothesis = alphas <= alphas_other
         consistent = not (other_connected and hypothesis) or connected
         report["compare"] = {

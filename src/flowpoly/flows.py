@@ -4,16 +4,25 @@ The counting functions here are the definitional oracles of the package:
 they enumerate edge functions exhaustively and tally boundaries.  One full
 enumeration per (graph, group) is cached as a boundary histogram, so
 repeated per-b queries against the same graph cost a dictionary lookup.
+
+Residues are validated once, where a BFunction or EdgeFunction is built
+from outside input.  A BFunction also carries its values as element
+indices (positions in ``spec.elements()``), and the package runs on those:
+zero-sum enumeration adds and negates through the group's index tables and
+builds its BFunctions from ``spec.elements()`` values without checking them
+again, and histograms are keyed by index tuples, decoded to residues only
+by ``nz_flow_boundary_counts``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Collection, Iterator
+from types import MappingProxyType
+from typing import Collection, Iterator, Mapping
 
-from .abelian import GroupElement, GroupSpec, index_tables
+from .abelian import GroupElement, GroupSpec, index_tables, residue_strides
 from .errors import BudgetError, IncompatibleError, InputError
 from .graphs import MultiGraph, VertexSet, components, cycle_rank
 
@@ -22,15 +31,37 @@ DEFAULT_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class BFunction:
-    """A vertex-indexed assignment of group elements."""
+    """A vertex-indexed assignment of group elements.
+
+    ``indices`` holds each value's position in ``spec.elements()``; it is
+    derived from ``values`` and takes no part in equality or hashing.
+    """
 
     spec: GroupSpec
     values: tuple[GroupElement, ...]
+    indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(tuple(v) for v in self.values))
-        for value in self.values:
+        values = tuple(tuple(v) for v in self.values)
+        for value in values:
             self.spec.validate(value)
+        strides = residue_strides(self.spec)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(
+            self, "indices", tuple(sum(r * s for r, s in zip(v, strides)) for v in values)
+        )
+
+    @classmethod
+    def _trusted(
+        cls, spec: GroupSpec, values: tuple[GroupElement, ...], indices: tuple[int, ...]
+    ) -> "BFunction":
+        """A BFunction of values taken from spec.elements(), with their
+        indices; valid by construction, so nothing is checked."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "spec", spec)
+        object.__setattr__(b, "values", values)
+        object.__setattr__(b, "indices", indices)
+        return b
 
     @classmethod
     def zero(cls, spec: GroupSpec, vertex_count: int) -> "BFunction":
@@ -41,7 +72,7 @@ class BFunction:
 
     @property
     def is_zero(self) -> bool:
-        return all(self.spec.is_zero(v) for v in self.values)
+        return not any(self.indices)
 
 
 @dataclass(frozen=True)
@@ -79,17 +110,18 @@ def boundary(g: MultiGraph, f: EdgeFunction) -> BFunction:
     return BFunction(spec, tuple(acc))
 
 
-def vertex_sum(b: BFunction, vertices: Collection[int]) -> GroupElement:
-    """The sum of b over a vertex set.
+def vertex_sum(b: BFunction, vertices: Collection[int]) -> int:
+    """The element index of the sum of b over a vertex set; 0 is the zero.
 
-    Residues are added as plain integers and reduced once: b's values were
-    validated when b was built, so nothing is checked again here.
+    The sum runs on b's index vector through the group's addition table:
+    b's values were validated when b was built, so nothing is checked here.
     """
-    values = b.values
-    return tuple(
-        sum(values[v][i] for v in vertices) % order
-        for i, order in enumerate(b.spec.cyclic_orders)
-    )
+    add, _ = index_tables(b.spec)
+    indices = b.indices
+    total = 0
+    for v in vertices:
+        total = add[total][indices[v]]
+    return total
 
 
 def incompatible_component(g: MultiGraph, b: BFunction) -> tuple[VertexSet, GroupElement] | None:
@@ -97,8 +129,8 @@ def incompatible_component(g: MultiGraph, b: BFunction) -> tuple[VertexSet, Grou
     _check_vertex_function(g, b)
     for comp in components(g):
         total = vertex_sum(b, comp)
-        if any(total):
-            return comp, total
+        if total:
+            return comp, b.spec.element_at(total)
     return None
 
 
@@ -116,29 +148,39 @@ def require_compatible(g: MultiGraph, b: BFunction) -> None:
         )
 
 
-def enumerate_zero_sum(g: MultiGraph, spec: GroupSpec) -> Iterator[BFunction]:
+def enumerate_zero_sum(
+    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
+) -> Iterator[BFunction]:
     """All locally zero-sum vertex functions, |A|^(|V| - c(G)) of them.
 
     Values on all vertices except the largest id of each component range
     freely in lexicographic order; the remaining value per component is
-    forced to the negated sum of the others.
+    forced to the negated sum of the others.  The walk runs on element
+    indices and takes every value from spec.elements(), so the BFunctions
+    it yields are not validated again.  BudgetError is raised before the
+    first yield when |A|^(|V| - c(G)) exceeds the budget.
     """
     comps = components(g)
-    forced = {max(comp) for comp in comps}
-    free = [v for v in range(g.vertex_count) if v not in forced]
+    n = g.vertex_count
+    _guard(spec.order ** (n - len(comps)), budget, "zero-sum boundary functions")
+    add, neg = index_tables(spec)
     elems = list(spec.elements())
-    for combo in itertools.product(elems, repeat=len(free)):
-        values: list[GroupElement | None] = [None] * g.vertex_count
-        for v, value in zip(free, combo):
-            values[v] = value
-        for comp in comps:
-            total = spec.zero
-            pin = max(comp)
-            for v in comp:
-                if v != pin:
-                    total = spec.add(total, values[v])  # type: ignore[arg-type]
-            values[pin] = spec.negate(total)
-        yield BFunction(spec, tuple(values))  # type: ignore[arg-type]
+    pins = []
+    for comp in comps:
+        pin = max(comp)
+        pins.append((pin, [v for v in comp if v != pin]))
+    forced = {pin for pin, _ in pins}
+    free = [v for v in range(n) if v not in forced]
+    idx = [0] * n
+    for combo in itertools.product(range(len(elems)), repeat=len(free)):
+        for v, i in zip(free, combo):
+            idx[v] = i
+        for pin, others in pins:
+            total = 0
+            for v in others:
+                total = add[total][idx[v]]
+            idx[pin] = neg[total]
+        yield BFunction._trusted(spec, tuple([elems[i] for i in idx]), tuple(idx))
 
 
 def count_flows(g: MultiGraph, b: BFunction) -> int:
@@ -153,66 +195,77 @@ def count_flows(g: MultiGraph, b: BFunction) -> int:
 @lru_cache(maxsize=4096)
 def _boundary_histogram(
     g: MultiGraph, spec: GroupSpec, nowhere_zero: bool
-) -> dict[tuple[GroupElement, ...], int]:
-    """Tally of boundaries over all edge functions (nonzero-valued if asked).
+) -> dict[tuple[int, ...], int]:
+    """Tally of boundaries over all edge functions (nonzero-valued if asked),
+    keyed by per-vertex element-index tuples, the form of BFunction.indices.
 
     Loops never move the boundary, so they contribute a constant weight of
-    (#values)^loops per leaf instead of explicit branches.  States are kept
-    as per-vertex element indices and decoded once at the end.
+    (#values)^loops per leaf instead of explicit branches.  The children of
+    the last non-loop edge are tallied in place, not called.
     """
     add, neg = index_tables(spec)
     order = spec.order
-    values = list(range(1, order)) if nowhere_zero else list(range(order))
+    values = [(a, neg[a]) for a in range(1 if nowhere_zero else 0, order)]
     loops = sum(1 for e in g.edges if e.is_loop)
     nonloop = [(e.tail, e.head) for e in g.edges if not e.is_loop]
     weight = len(values) ** loops
     counts: dict[tuple[int, ...], int] = {}
     state = [0] * g.vertex_count
+    last = len(nonloop) - 1
 
     def descend(i: int) -> None:
-        if i == len(nonloop):
-            key = tuple(state)
-            counts[key] = counts.get(key, 0) + weight
-            return
         t, h = nonloop[i]
         old_t, old_h = state[t], state[h]
-        row_h = add[old_h]
-        for a in values:
+        row_t, row_h = add[old_t], add[old_h]
+        for a, minus_a in values:
             state[h] = row_h[a]
-            state[t] = add[old_t][neg[a]]
-            descend(i + 1)
+            state[t] = row_t[minus_a]
+            if i == last:
+                key = tuple(state)
+                counts[key] = counts.get(key, 0) + weight
+            else:
+                descend(i + 1)
         state[t], state[h] = old_t, old_h
 
     if weight:
-        descend(0)
-    return {
-        tuple(spec.element_at(i) for i in key): count for key, count in counts.items()
-    }
+        if nonloop:
+            descend(0)
+        else:
+            counts[tuple(state)] = weight
+    return counts
 
 
-def _guard(steps: int, budget: int) -> None:
+def _guard(steps: int, budget: int, what: str = "edge functions") -> None:
     if steps > budget:
-        raise BudgetError(f"enumeration of {steps} edge functions exceeds budget {budget}")
+        raise BudgetError(f"enumeration of {steps} {what} exceeds budget {budget}")
+
+
+def nz_flow_index_counts(
+    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
+) -> Mapping[tuple[int, ...], int]:
+    """Read-only mapping from boundaries, as element-index tuples (the form
+    of BFunction.indices), to nowhere-zero flow counts; shared, not copied."""
+    if spec.order < 2:
+        raise InputError("nowhere-zero flows need a group of order >= 2")
+    _guard((spec.order - 1) ** g.edge_count, budget)
+    return MappingProxyType(_boundary_histogram(g, spec, True))
 
 
 def nz_flow_boundary_counts(
     g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[GroupElement, ...], int]:
     """Fresh mapping from boundary value tuples to nowhere-zero flow counts."""
-    if spec.order < 2:
-        raise InputError("nowhere-zero flows need a group of order >= 2")
-    _guard((spec.order - 1) ** g.edge_count, budget)
-    return dict(_boundary_histogram(g, spec, True))
+    elems = list(spec.elements())
+    return {
+        tuple([elems[i] for i in key]): count
+        for key, count in nz_flow_index_counts(g, spec, budget=budget).items()
+    }
 
 
 def count_nz_flows_bruteforce(g: MultiGraph, b: BFunction, *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of nowhere-zero (A, b)-flows by exhaustive enumeration."""
     _check_vertex_function(g, b)
-    spec = b.spec
-    if spec.order < 2:
-        raise InputError("nowhere-zero flows need a group of order >= 2")
-    _guard((spec.order - 1) ** g.edge_count, budget)
-    return _boundary_histogram(g, spec, True).get(b.values, 0)
+    return nz_flow_index_counts(g, b.spec, budget=budget).get(b.indices, 0)
 
 
 def count_flows_bruteforce(g: MultiGraph, b: BFunction, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -220,7 +273,7 @@ def count_flows_bruteforce(g: MultiGraph, b: BFunction, *, budget: int = DEFAULT
     _check_vertex_function(g, b)
     spec = b.spec
     _guard(spec.order ** g.edge_count, budget)
-    return _boundary_histogram(g, spec, False).get(b.values, 0)
+    return _boundary_histogram(g, spec, False).get(b.indices, 0)
 
 
 def decomposition_check(
@@ -229,7 +282,8 @@ def decomposition_check(
     """Sums of flow counts over all locally zero-sum b, with their targets.
 
     Returns (sum of nowhere-zero counts, sum of zeros-allowed counts, flag);
-    the flag holds exactly when the sums equal (|A|-1)^m and |A|^m.
+    the flag holds exactly when the sums equal (|A|-1)^m and |A|^m.  The
+    budget caps both the (|A|-1)^m edge functions and the |A|^(n-c) b.
     """
     if spec.order < 2:
         raise InputError("nowhere-zero flows need a group of order >= 2")
@@ -237,7 +291,7 @@ def decomposition_check(
     m = g.edge_count
     total_nz = 0
     total_all = 0
-    for b in enumerate_zero_sum(g, spec):
+    for b in enumerate_zero_sum(g, spec, budget=budget):
         total_nz += count_nz_flows_bruteforce(g, b, budget=budget)
         total_all += count_flows(g, b)
     ok = total_nz == (spec.order - 1) ** m and total_all == spec.order**m

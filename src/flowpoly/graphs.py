@@ -49,6 +49,15 @@ class MultiGraph:
                         f"edge {edge.id} endpoint {endpoint} out of range for n={self.vertex_count}"
                     )
 
+    def __hash__(self) -> int:
+        # Every lru_cache lookup hashes the graph: compute it once per instance.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.vertex_count, self.edges))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     @classmethod
     def from_pairs(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "MultiGraph":
         """Build a graph with dense edge ids from (tail, head) pairs."""

@@ -63,3 +63,8 @@ def group_specs(draw, max_order: int = 6, max_factors: int = 2) -> GroupSpec:
 
 
 SMALL_GROUPS = tuple(parse_group(name) for name in ("Z2", "Z3", "Z4", "Z2xZ2"))
+
+# The acceptance groups plus larger and non-cyclic ones of orders 5 to 9.
+WIDE_GROUPS = SMALL_GROUPS + tuple(
+    parse_group(name) for name in ("Z5", "Z6", "Z2xZ3", "Z3xZ3")
+)

@@ -41,16 +41,19 @@ from flowpoly.graphs import (
 )
 from flowpoly.polynomial import IntPolynomial
 
-from conftest import SMALL_GROUPS, k4, multigraphs, single_edge, single_loop, triangle
+from conftest import (
+    SMALL_GROUPS,
+    WIDE_GROUPS,
+    k4,
+    multigraphs,
+    single_edge,
+    single_loop,
+    triangle,
+)
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
 Z2XZ2 = parse_group("Z2xZ2")
-
-# The acceptance groups plus larger and non-cyclic ones of orders 5 to 9.
-WIDE_GROUPS = SMALL_GROUPS + tuple(
-    parse_group(name) for name in ("Z5", "Z6", "Z2xZ3", "Z3xZ3")
-)
 
 K_MINUS_1 = IntPolynomial((-1, 1))
 

@@ -262,6 +262,16 @@ def test_lambda_force_honours_budget(capsys, tmp_path):
     assert "resource guard" in err
 
 
+def test_bonds_honours_budget(capsys, tmp_path):
+    # The bond sides of a 30-vertex path are 2^29 vertex subsets.
+    graph = tmp_path / "path30.graph"
+    graph.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(29)))
+    code, report, err = run_cli(capsys, "bonds", str(graph), "--budget", "1000")
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "2^30 vertex subsets" in err
+
+
 def test_lambda_isolated_vertex(capsys, tmp_path):
     graph = tmp_path / "v.graph"
     graph.write_text("1 0\n")
@@ -313,6 +323,44 @@ def test_connectivity_force_honours_budget(capsys, k8_file):
     assert code == EXIT_RESOURCE
     assert report is None
     assert "resource guard" in err
+
+
+def test_connectivity_compare_honours_budget(capsys, tmp_path):
+    # No edges, so one zero-sum b and 2^0 edge subsets; the lambda family
+    # walked for --compare is 2^25 vertex subsets.
+    graph = tmp_path / "isolated25.graph"
+    graph.write_text("25 0\n")
+    code, report, err = run_cli(
+        capsys, "connectivity", str(graph), "--group", "Z2", "--compare", "Z2",
+        "--budget", "1000",
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "2^25 vertex subsets" in err
+
+
+def test_connectivity_budget_caps_boundary_functions(capsys, tmp_path):
+    # A 20-cycle over Z3: 2^20 edge subsets and edge functions fit the
+    # default budget, the 3^19 zero-sum boundary functions do not.
+    graph = tmp_path / "c20.graph"
+    graph.write_text("20 20\n" + "".join(f"{i} {(i + 1) % 20}\n" for i in range(20)))
+    code, report, err = run_cli(capsys, "connectivity", str(graph), "--group", "Z3")
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "zero-sum boundary functions" in err
+
+
+def test_decompose_honours_budget(capsys, tmp_path):
+    # A 30-edge perfect matching over Z2: (|A| - 1)^m = 1 edge function,
+    # but |A|^(n - c) = 2^30 zero-sum boundary functions.
+    graph = tmp_path / "matching30.graph"
+    graph.write_text("60 30\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(30)))
+    code, report, err = run_cli(
+        capsys, "decompose", str(graph), "--group", "Z2", "--budget", "1000"
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "zero-sum boundary functions" in err
 
 
 def test_decompose(capsys, c3_file):

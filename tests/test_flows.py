@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowpoly.abelian import parse_group
+from flowpoly.abelian import parse_group, residue_strides
 from flowpoly.errors import BudgetError, InputError
 from flowpoly.flows import (
     BFunction,
@@ -21,10 +21,19 @@ from flowpoly.flows import (
     enumerate_zero_sum,
     is_b_compatible,
     nz_flow_boundary_counts,
+    nz_flow_index_counts,
 )
 from flowpoly.graphs import MultiGraph, reverse_edge
 
-from conftest import SMALL_GROUPS, k4, multigraphs, single_edge, single_loop, triangle
+from conftest import (
+    SMALL_GROUPS,
+    WIDE_GROUPS,
+    k4,
+    multigraphs,
+    single_edge,
+    single_loop,
+    triangle,
+)
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -123,6 +132,48 @@ def test_enumerate_zero_sum_matches_filter(g, data):
         b.values for b in all_vertex_functions(spec, g.vertex_count) if is_b_compatible(g, b)
     }
     assert got == expected
+
+
+def test_enumerated_b_equal_validated_b():
+    # Two components, a loop and a parallel pair; the 4-vertex component
+    # has 3 free vertices and one forced by the negated sum.
+    g = MultiGraph.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (4, 5), (5, 4)])
+    for spec in WIDE_GROUPS:
+        strides = residue_strides(spec)
+        count = 0
+        for b in enumerate_zero_sum(g, spec):
+            built = BFunction(spec, b.values)
+            assert b == built and built == b
+            assert hash(b) == hash(built)
+            assert b.indices == built.indices
+            assert b.indices == tuple(
+                sum(r * s for r, s in zip(v, strides)) for v in b.values
+            )
+            assert b.values == tuple(spec.element_at(i) for i in b.indices)
+            count += 1
+        assert count == spec.order ** 4
+
+
+def test_bfunction_still_validates_residues():
+    for values in (((3,), (0,)), ((-1,), (0,)), ((0, 0), (0,)), (("1",), (0,))):
+        with pytest.raises(InputError):
+            BFunction(Z3, values)
+    with pytest.raises(InputError):
+        BFunction(parse_group("Z2xZ2"), ((1, 2),))
+    with pytest.raises(InputError):
+        EdgeFunction(Z3, ((5,),))
+
+
+def test_index_counts_match_residue_counts():
+    g = MultiGraph.from_pairs(3, [(0, 0), (0, 1), (1, 2), (1, 2)])
+    for spec in WIDE_GROUPS:
+        by_index = nz_flow_index_counts(g, spec)
+        by_values = nz_flow_boundary_counts(g, spec)
+        assert len(by_index) == len(by_values)
+        for key, count in by_index.items():
+            assert by_values[tuple(spec.element_at(i) for i in key)] == count
+        with pytest.raises(TypeError):
+            by_index[(0, 0, 0)] = 1  # the cached histogram is shared read-only
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,21 @@ def test_reverse_edge_keeps_structure(g):
         assert components(flipped) == components(g)
 
 
+def test_equal_graphs_hash_equal():
+    pairs = [(0, 1), (1, 2), (2, 0), (2, 2), (0, 1)]
+    first = MultiGraph.from_pairs(3, pairs)
+    second = MultiGraph.from_pairs(3, list(pairs))
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second) == hash(first)
+    assert len({first, second}) == 1
+    flipped = reverse_edge(first, 0)
+    assert flipped != first
+    assert reverse_edge(flipped, 0) == first
+    assert hash(reverse_edge(flipped, 0)) == hash(first)
+    assert MultiGraph.from_pairs(4, pairs) != first
+
+
 def test_edge_ids_must_increase():
     from flowpoly.graphs import Edge
 

@@ -62,6 +62,24 @@ def test_harness_detects_wrong_counts(monkeypatch):
     assert report["oracle_equivalence"].failures > 0
 
 
+def test_decomposition_suite_sees_wrong_counts(monkeypatch):
+    # The decomposition sums come from the oracle loop's own brute-force
+    # counts, so a shifted count must fail that suite too.
+    import flowpoly.harness as harness
+
+    real = harness.count_nz_flows_bruteforce
+
+    def corrupted(g, b, **kwargs):
+        return real(g, b, **kwargs) + 1
+
+    monkeypatch.setattr(harness, "count_nz_flows_bruteforce", corrupted)
+    report = run_verification([triangle(), single_edge()], default_groups(), seed=0)
+    assert report["decomposition"].checked == 8
+    assert report["decomposition"].failures == 8
+    assert "miss targets" in report["decomposition"].first_failure
+    assert report["oracle_equivalence"].failures > 0
+
+
 def test_report_serialization():
     report = run_verification([triangle()], (parse_group("Z2"),))
     payload = report["oracle_equivalence"].as_dict()
