@@ -74,7 +74,6 @@ def clear_caches() -> None:
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
-        assigning._poly_from_signature,
     ):
         cache.cache_clear()
 

@@ -16,14 +16,10 @@ compatible exactly when b sums to zero on its side X, so the broken bonds
 come from the graph's cached bond sides and one vertex sum each.
 
 Whether G - S is compatible with b depends only on the connected partition
-of G - S.  So for subset expansion on graphs of at most 10 edges, which
-the verification sweep calls once for every b of a graph, a per-subset
-partition table is built once per graph and results are memoized per
-compatibility signature (the bitmask saying which partitions are
-compatible); larger graphs take the scan.  The table comes from one
-depth-first pass of its own that needs no union-find: it carries each
-partition as a tuple of least-vertex block labels, relabelled when a kept
-edge joins two blocks.
+of G - S.  The verification harness groups the boundary functions of a
+graph of at most 10 edges by that dependence: ``_structure`` tabulates the
+partition of G - S for every subset S, and ``compat_signature`` records
+which partitions b makes compatible.  No polynomial route reads the table.
 """
 
 from __future__ import annotations
@@ -121,24 +117,25 @@ def induced_assigning(g: MultiGraph, b: BFunction) -> Assigning:
 
 
 # ---------------------------------------------------------------------------
-# Per-subset partition tables for small graphs.
+# Per-subset partition tables, the harness's signature classes.
 
 
 @dataclass(frozen=True)
 class _SubsetStructure:
     partitions: tuple[tuple[tuple[int, ...], ...], ...]  # partitions[0] = components of G
     partition_id: tuple[int, ...]  # per edge-subset mask
-    mg: tuple[int, ...]  # cycle rank of G - S per mask
-    signs: tuple[int, ...]  # (-1)^|S| per mask
 
 
 @lru_cache(maxsize=4096)
 def _structure(g: MultiGraph) -> _SubsetStructure:
     """The partition of G - S for every mask S (bit i is the edge at position i).
 
-    The walk decides edges from the last position down, keep before delete,
-    so leaves arrive in increasing mask order; a kept edge between two blocks
-    relabels the higher label to the lower.  Ids follow first occurrence.
+    Read by the verification harness, for its signature classes and its
+    per-subset lemma suites.  The walk needs no union-find: it carries each
+    partition as a tuple of least-vertex block labels, and a kept edge
+    between two blocks relabels the higher label to the lower.  Edges are
+    decided from the last position down, keep before delete, so leaves
+    arrive in increasing mask order.  Ids follow first occurrence.
     """
     n, m = g.vertex_count, g.edge_count
     pairs = g.pairs()
@@ -169,10 +166,7 @@ def _structure(g: MultiGraph) -> _SubsetStructure:
         for v, label in enumerate(labels):
             members.setdefault(label, []).append(v)
         partitions.append(tuple(map(tuple, members.values())))
-    sizes = [mask.bit_count() for mask in range(1 << m)]
-    mg = tuple([m - size - n + len(partitions[pid]) for size, pid in zip(sizes, partition_id)])
-    signs = tuple([-1 if size & 1 else 1 for size in sizes])
-    return _SubsetStructure(tuple(partitions), partition_id, mg, signs)
+    return _SubsetStructure(tuple(partitions), partition_id)
 
 
 def compat_signature(g: MultiGraph, b: BFunction) -> int:
@@ -180,8 +174,10 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
 
     Bit j is set when every block of the j-th partition (as enumerated by the
     cached subset table) sums to zero under b.  The polynomial algorithms
-    depend on b only through this value.  Only available while the subset
-    table fits (edge count at most 10).
+    depend on b only through this value, so the verification harness keys
+    its classes of boundary functions by it and reads per-mask
+    compatibility from it.  Only available while the subset table fits
+    (edge count at most 10).
     """
     if g.edge_count > _TABLE_MAX_EDGES:
         raise BudgetError("compat signatures need the per-subset table (at most 10 edges)")
@@ -202,19 +198,6 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     return bits
 
 
-@lru_cache(maxsize=262144)
-def _poly_from_signature(g: MultiGraph, sigma: int) -> IntPolynomial:
-    st = _structure(g)
-    coeffs = [0] * (st.mg[0] + 1)
-    partition_id = st.partition_id
-    mg = st.mg
-    signs = st.signs
-    for mask in range(len(partition_id)):
-        if sigma >> partition_id[mask] & 1:
-            coeffs[mg[mask]] += signs[mask]
-    return IntPolynomial(tuple(coeffs))
-
-
 def _guard_edges(g: MultiGraph, max_edges: int | None) -> None:
     if max_edges is not None and g.edge_count > max_edges:
         raise BudgetError(
@@ -230,16 +213,21 @@ def poly_subset_expansion(
     Evaluated at the order of any finite Abelian group A' admitting a b' with
     the same induced assigning, it gives the number of nowhere-zero
     (A', b')-flows; in particular at |A| it counts the nowhere-zero
-    (A, b)-flows themselves.
+    (A, b)-flows themselves.  The compatible subsets come from the
+    depth-first scan, tallied by size and component count, at every edge
+    count.
     """
     _check_vertex_function(g, b)
     _guard_edges(g, max_edges)
-    if g.edge_count <= _TABLE_MAX_EDGES:
-        sigma = compat_signature(g, b)
-        if not sigma & 1:
-            require_compatible(g, b)
-        return _poly_from_signature(g, sigma)
-    return _poly_subset_stream(g, b)
+    require_compatible(g, b)
+    n, m = g.vertex_count, g.edge_count
+    coeffs = [0] * (cycle_rank(g) + 1)
+    for s, row in enumerate(_scan(g, b, ())):
+        sign = 1 if s % 2 == 0 else -1
+        for c, count in enumerate(row):
+            if count:
+                coeffs[m - s - n + c] += sign * count
+    return IntPolynomial(tuple(coeffs))
 
 
 def _scan(
@@ -316,18 +304,6 @@ def _scan(
     elif not nonzero:
         hist[0][n] = 1
     return hist
-
-
-def _poly_subset_stream(g: MultiGraph, b: BFunction) -> IntPolynomial:
-    require_compatible(g, b)
-    n, m = g.vertex_count, g.edge_count
-    coeffs = [0] * (cycle_rank(g) + 1)
-    for s, row in enumerate(_scan(g, b, ())):
-        sign = 1 if s % 2 == 0 else -1
-        for c, count in enumerate(row):
-            if count:
-                coeffs[m - s - n + c] += sign * count
-    return IntPolynomial(tuple(coeffs))
 
 
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:

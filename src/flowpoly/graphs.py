@@ -82,37 +82,26 @@ class MultiGraph:
         raise InputError(f"unknown edge id {edge_id}")
 
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @lru_cache(maxsize=4096)
 def components(g: MultiGraph) -> tuple[VertexSet, ...]:
     """Connected-component vertex partition, blocks sorted by least member."""
-    dsu = _DSU(g.vertex_count)
-    for edge in g.edges:
-        dsu.union(edge.tail, edge.head)
-    blocks: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        blocks.setdefault(dsu.find(v), []).append(v)
-    return tuple(frozenset(block) for block in sorted(blocks.values()))
+    adj = _adjacency(g)
+    seen = [False] * g.vertex_count
+    blocks: list[VertexSet] = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    block.append(w)
+                    stack.append(w)
+        blocks.append(frozenset(block))
+    return tuple(blocks)
 
 
 def component_count(g: MultiGraph) -> int:
@@ -239,23 +228,18 @@ def lambda_family(g: MultiGraph) -> list[VertexSet]:
     """All nonempty X with G[X] connected and c(G - X) = c(G).
 
     These are exactly the sides of bonds: proper connected subsets of a
-    component whose within-component complement is connected too.  Output is
-    sorted lexicographically by sorted member list.
+    component whose within-component complement is connected too.  So the
+    family is each anchored side from ``bond_sides`` plus its complement in
+    its component, sorted lexicographically by sorted member list.
     """
     return list(_lambda_family_cached(g))
 
 
 @lru_cache(maxsize=4096)
 def _lambda_family_cached(g: MultiGraph) -> tuple[VertexSet, ...]:
-    adj = _adjacency(g)
-    base = component_count(g)
-    n = g.vertex_count
+    component_of = {v: comp for comp in components(g) for v in comp}
     out: list[VertexSet] = []
-    for bits in range(1, 1 << n):
-        subset = frozenset(v for v in range(n) if bits >> v & 1)
-        if not _is_connected_subset(adj, subset):
-            continue
-        remainder = induced_subgraph(g, [v for v in range(n) if v not in subset])
-        if component_count(remainder) == base:
-            out.append(subset)
+    for _, side in bond_sides(g):
+        out.append(side)
+        out.append(component_of[min(side)] - side)
     return tuple(sorted(out, key=sorted))

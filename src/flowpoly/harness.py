@@ -7,8 +7,10 @@ monotonicity and positivity, the decomposition identities, and the two
 structural lemmas the broken-bond argument rests on.
 
 Boundary functions with the same compatibility signature produce identical
-polynomials by construction, so order-dependent checks run once per
-signature class while count comparisons still run for every single b.
+polynomials by construction, so each signature class's polynomial and
+assigning are computed once, order-dependent checks run once per class,
+and every single b's brute-force count is still checked against its
+class's polynomial.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ def run_verification(
 @dataclass
 class _SignatureClass:
     representative: BFunction
+    alpha: int  # the representative's assigning bits, see _alpha_bits
     members: int = 0
     specs: list[GroupSpec] = field(default_factory=list)
 
@@ -166,6 +169,7 @@ def _check_graph(
     merged: dict[int, _SignatureClass] = {}
     per_spec_classes: list[dict[int, _SignatureClass]] = []
     histograms = []
+    polys: dict[int, IntPolynomial] = {}
 
     m = g.edge_count
     for spec in specs:
@@ -182,16 +186,17 @@ def _check_graph(
             sigma = asg.compat_signature(g, b)
             cls = classes.get(sigma)
             if cls is None:
-                cls = classes[sigma] = _SignatureClass(b)
+                cls = classes[sigma] = _SignatureClass(b, _alpha_bits(g, b))
             cls.members += 1
             whole = merged.get(sigma)
-            if whole is None:
-                whole = merged[sigma] = _SignatureClass(b)
+            if whole is None:  # so cls is new too, with b as representative
+                whole = merged[sigma] = _SignatureClass(b, cls.alpha)
+                polys[sigma] = asg.poly_subset_expansion(g, b)
             whole.members += 1
             if spec not in whole.specs:
                 whole.specs.append(spec)
 
-            poly = asg.poly_subset_expansion(g, b)
+            poly = polys[sigma]
             brute = count_nz_flows_bruteforce(g, b, budget=budget)
             total_nz += brute
             total_all += count_flows(g, b)
@@ -225,20 +230,11 @@ def _check_graph(
                         "some nowhere-zero flow count"
                     )
 
-    # Signature-level data shared by the remaining suites.
-    polys: dict[int, IntPolynomial] = {}
-    signless: dict[int, tuple[int, ...]] = {}
-    alpha_bits: dict[int, int] = {}
-    for sigma, cls in merged.items():
-        poly = asg.poly_subset_expansion(g, cls.representative)
-        polys[sigma] = poly
-        signless[sigma] = poly.signless_coefficients(top)
-        alpha_bits[sigma] = _alpha_bits(g, cls.representative)
-
+    signless = {sigma: poly.signless_coefficients(top) for sigma, poly in polys.items()}
     _check_algorithms(index, g, merged, polys, suites, seed, random_orders, label)
     _check_lemmas(g, merged, suites, seed, pairing_orders, label)
-    _check_group_invariance(g, specs, per_spec_classes, histograms, polys, suites, label)
-    _check_monotonicity(g, merged, alpha_bits, signless, suites, comparison_calls, label)
+    _check_group_invariance(specs, per_spec_classes, histograms, polys, suites, label)
+    _check_monotonicity(g, merged, signless, suites, comparison_calls, label)
 
     if bridgeless:
         suite8 = suites["coefficient_structure"]
@@ -362,7 +358,6 @@ def _check_lemmas(
 
 
 def _check_group_invariance(
-    g: MultiGraph,
     specs: Sequence[GroupSpec],
     per_spec_classes: list[dict[int, _SignatureClass]],
     histograms: list[Mapping[tuple[int, ...], int]],
@@ -375,18 +370,16 @@ def _check_group_invariance(
         for j, spec_b in enumerate(specs):
             if i == j or spec_a.order != spec_b.order:
                 continue
-            matches = {
-                _alpha_bits(g, cls.representative): cls
-                for cls in per_spec_classes[j].values()
-            }
+            matches = {cls.alpha: (sigma, cls) for sigma, cls in per_spec_classes[j].items()}
             for sigma, cls in per_spec_classes[i].items():
-                partner = matches.get(_alpha_bits(g, cls.representative))
-                if partner is None:
+                match = matches.get(cls.alpha)
+                if match is None:
                     suite4.skipped += cls.members
                     continue
+                partner_sigma, partner = match
                 suite4.checked += cls.members
                 poly_a = polys[sigma]
-                poly_b = asg.poly_subset_expansion(g, partner.representative)
+                poly_b = polys[partner_sigma]
                 count_a = histograms[i].get(cls.representative.indices, 0)
                 count_b = histograms[j].get(partner.representative.indices, 0)
                 if poly_a != poly_b:
@@ -404,27 +397,22 @@ def _check_group_invariance(
 def _check_monotonicity(
     g: MultiGraph,
     merged: dict[int, _SignatureClass],
-    alpha_bits: dict[int, int],
     signless: dict[int, tuple[int, ...]],
     suites: dict[str, SuiteResult],
     comparison_calls: int,
     label: str,
 ) -> None:
     suite5 = suites["comparison_monotonicity"]
-    items = list(merged.keys())
     alpha_to_signless: dict[int, tuple[int, ...]] = {}
-    for sigma in items:
-        seen = alpha_to_signless.get(alpha_bits[sigma])
-        if seen is None:
-            alpha_to_signless[alpha_bits[sigma]] = signless[sigma]
-        elif seen != signless[sigma]:
+    for sigma, cls in merged.items():
+        if alpha_to_signless.setdefault(cls.alpha, signless[sigma]) != signless[sigma]:
             raise ConsistencyError(
                 f"{label}: one assigning produced two coefficient vectors"
             )
     exercised = 0
-    for s1 in items:
-        for s2 in items:
-            a1, a2 = alpha_bits[s1], alpha_bits[s2]
+    for s1, c1 in merged.items():
+        for s2, c2 in merged.items():
+            a1, a2 = c1.alpha, c2.alpha
             if a1 & ~a2:
                 continue
             suite5.checked += 1
@@ -436,13 +424,11 @@ def _check_monotonicity(
                 )
             elif exercised < comparison_calls and s1 != s2:
                 exercised += 1
-                outcome = asg.compare_coefficients(
-                    g, merged[s1].representative, merged[s2].representative
-                )
+                outcome = asg.compare_coefficients(g, c1.representative, c2.representative)
                 if not (outcome.pointwise_le and outcome.consistent):
                     suite5.fail(
                         f"{label}: compare_coefficients disagrees with the sweep "
-                        f"for b={merged[s1].representative.values}"
+                        f"for b={c1.representative.values}"
                     )
 
 

@@ -13,7 +13,6 @@ from flowpoly import abelian, assigning, flows, graphs
 from flowpoly.abelian import parse_group
 from flowpoly.assigning import (
     EdgeOrder,
-    _poly_subset_stream,
     b_compatible_bonds,
     broken_bonds,
     compare_coefficients,
@@ -116,7 +115,26 @@ def test_subset_expansion_edge_guard():
         poly_subset_expansion(g, BFunction.zero(Z2, 2), max_edges=4)
 
 
-def test_stream_path_matches_table_path():
+def _literal_subsets(g: MultiGraph) -> list[tuple[MultiGraph, int, int]]:
+    """(G - S, (-1)^|S|, m(G - S)) for every edge subset S, built one by one."""
+    out = []
+    for mask in range(1 << g.edge_count):
+        removed = [e.id for i, e in enumerate(g.edges) if mask >> i & 1]
+        rest = delete_edges(g, removed)
+        out.append((rest, (-1) ** len(removed), cycle_rank(rest)))
+    return out
+
+
+def _expansion_by_definition(subsets, top: int, b: BFunction) -> IntPolynomial:
+    """The paper's sum of (-1)^|S| k^m(G - S) over the b-compatible G - S."""
+    coeffs = [0] * (top + 1)
+    for rest, sign, rank in subsets:
+        if is_b_compatible(rest, b):
+            coeffs[rank] += sign
+    return IntPolynomial(tuple(coeffs))
+
+
+def test_subset_expansion_matches_literal_formula():
     rng = random.Random(7)
     order_rng = random.Random(8)
     for _ in range(25):
@@ -126,10 +144,11 @@ def test_stream_path_matches_table_path():
             n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
         )
         order = EdgeOrder.shuffled(g, order_rng)
+        subsets = _literal_subsets(g)
         for spec in (Z2, Z2XZ2):
             for b in enumerate_zero_sum(g, spec):
-                expected = poly_subset_expansion(g, b)
-                assert _poly_subset_stream(g, b) == expected
+                expected = _expansion_by_definition(subsets, cycle_rank(g), b)
+                assert poly_subset_expansion(g, b) == expected
                 assert poly_nbb(g, b, order) == expected
 
 
@@ -155,32 +174,29 @@ def test_subset_table_matches_definition():
         seen_parallel |= len({frozenset(p) for p in pairs}) < m
         g = MultiGraph.from_pairs(n, pairs)
         table = assigning._structure(g)
-        assert len(table.partition_id) == len(table.mg) == len(table.signs) == 1 << m
+        assert len(table.partition_id) == 1 << m
+        subsets = _literal_subsets(g)
         first_seen: list[int] = []
         for mask, pid in enumerate(table.partition_id):
             if pid not in first_seen:
                 assert pid == len(first_seen)
                 first_seen.append(pid)
-            removed = [e.id for i, e in enumerate(g.edges) if mask >> i & 1]
-            rest = delete_edges(g, removed)
-            expected = tuple(tuple(sorted(block)) for block in components(rest))
+            expected = tuple(tuple(sorted(block)) for block in components(subsets[mask][0]))
             assert table.partitions[pid] == expected
-            assert table.mg[mask] == cycle_rank(rest)
-            assert table.signs[mask] == (-1) ** len(removed)
         assert len(first_seen) == len(table.partitions)
 
         order = EdgeOrder.shuffled(g, rng)
         for spec in WIDE_GROUPS:
             b = _random_compatible_b(g, spec, rng)
-            expected = poly_subset_expansion(g, b)
-            assert _poly_subset_stream(g, b) == expected
+            expected = _expansion_by_definition(subsets, cycle_rank(g), b)
+            assert poly_subset_expansion(g, b) == expected
             assert poly_nbb(g, b, order) == expected
             if (spec.order - 1) ** m <= 10**5:
                 assert expected.eval(spec.order) == count_nz_flows_bruteforce(g, b)
     assert seen_loop and seen_parallel
 
 
-# Two 12-edge graphs, so both algorithms take the scan route above 10 edges.
+# Two 12-edge graphs, beyond the verification harness's 10-edge reach.
 W6 = MultiGraph.from_pairs(7, [(i, (i + 1) % 6) for i in range(6)] + [(i, 6) for i in range(6)])
 K34 = MultiGraph.from_pairs(7, [(i, 3 + j) for i in range(3) for j in range(4)])
 
@@ -466,13 +482,12 @@ def test_clear_caches_empties_every_cache():
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
-        assigning._poly_from_signature,
     )
     lambda_family(complete(4))
     bonds(complete(4))
     abelian.index_tables(Z3)
     b = BFunction.zero(Z3, 3)
-    poly_subset_expansion(triangle(), b)
+    compat_signature(triangle(), b)
     count_nz_flows_bruteforce(triangle(), b)
     assert all(cache.cache_info().currsize > 0 for cache in caches)
     flowpoly.clear_caches()
