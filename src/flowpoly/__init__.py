@@ -71,9 +71,11 @@ def clear_caches() -> None:
         abelian.residue_strides,
         graphs.components,
         graphs._lambda_family_cached,
+        graphs.lambda_members,
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
+        assigning._frontier_plan,
     ):
         cache.cache_clear()
 

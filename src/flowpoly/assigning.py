@@ -1,19 +1,22 @@
 """Assignings and the two polynomial algorithms built on them.
 
 The polynomial that counts nowhere-zero flows with boundary b is computed
-two independent ways:
+two independent ways, which share no enumeration code:
 
 * ``poly_subset_expansion``: sum (-1)^|S| k^m(G-S) over edge subsets S whose
-  removal leaves the graph compatible with b;
+  removal leaves the graph compatible with b.  The terms depend on S only
+  through the blocks of G - S and their b-sums, so a dynamic program adds
+  them up edge by edge over the partitions of a small vertex frontier
+  (the transfer-matrix method for Tutte-type polynomials) instead of over
+  the 2^m subsets.
 * ``poly_nbb``: signless coefficients a_i counted as the compatible i-edge
   subsets containing no compatible broken bond for a chosen edge order.
-
-Both walk the edge subsets in one depth-first scan: edges are deleted or
-kept one at a time, a union-find undone on backtrack carries each block's
-b-sum, and a subtree whose deleted edges already contain a compatible
-broken bond is skipped whole.  A bond E[X, W - X] of a b-compatible graph is
-compatible exactly when b sums to zero on its side X, so the broken bonds
-come from the graph's cached bond sides and one vertex sum each.
+  The subsets are walked in one depth-first scan: edges are deleted or kept
+  one at a time, a union-find undone on backtrack carries each block's
+  b-sum, and a subtree whose deleted edges already contain a compatible
+  broken bond is skipped whole.  A bond E[X, W - X] of a b-compatible graph
+  is compatible exactly when b sums to zero on its side X, so the broken
+  bonds come from the graph's cached bond sides and one vertex sum each.
 
 Whether G - S is compatible with b depends only on the connected partition
 of G - S.  The verification harness groups the boundary functions of a
@@ -39,7 +42,7 @@ from .flows import (
     require_compatible,
     vertex_sum,
 )
-from .graphs import EdgeSet, MultiGraph, bond_sides, cycle_rank, lambda_family
+from .graphs import EdgeSet, MultiGraph, bond_sides, cycle_rank, lambda_members
 from .polynomial import IntPolynomial
 
 DEFAULT_MAX_EDGES = 24
@@ -110,8 +113,7 @@ def induced_assigning(g: MultiGraph, b: BFunction) -> Assigning:
     """The assigning of b: a member X gets 0 exactly when b sums to zero on X."""
     _check_vertex_function(g, b)
     entries = tuple(
-        (tuple(sorted(member)), 1 if vertex_sum(b, member) else 0)
-        for member in lambda_family(g)
+        (member, 1 if vertex_sum(b, member) else 0) for member in lambda_members(g)
     )
     return Assigning(entries)
 
@@ -213,43 +215,222 @@ def poly_subset_expansion(
     Evaluated at the order of any finite Abelian group A' admitting a b' with
     the same induced assigning, it gives the number of nowhere-zero
     (A', b')-flows; in particular at |A| it counts the nowhere-zero
-    (A, b)-flows themselves.  The compatible subsets come from the
-    depth-first scan, tallied by size and component count, at every edge
-    count.
+    (A, b)-flows themselves.
+
+    The sum over S runs edge by edge, in the order of ``_frontier_plan``,
+    over states instead of subsets.  The frontier is the list of entered
+    vertices that still have edges to come.  A state is the partition of
+    the frontier into blocks of G - S, each block labelled by its least
+    frontier position, and each block's b-sum kept at that position (the
+    other positions hold 0).  Its value is the sum of
+    (-1)^|S| k^(kept edges + closed blocks) over the decided edges that
+    reach it: deleting an edge negates, keeping one multiplies by k.  A
+    block closes when its last vertex leaves the frontier; a nonzero b-sum
+    then makes G - S incompatible and drops the state, and a zero sum is one
+    more component, a factor k.  Since m(G - S) = kept + components - n,
+    the final value is shifted down by n.  Values are polynomials packed
+    into one int, in balanced base-2^(m + 2) digits, which hold every
+    partial coefficient (at most 2^m in size).
     """
     _check_vertex_function(g, b)
     _guard_edges(g, max_edges)
     require_compatible(g, b)
-    n, m = g.vertex_count, g.edge_count
-    coeffs = [0] * (cycle_rank(g) + 1)
-    for s, row in enumerate(_scan(g, b, ())):
-        sign = 1 if s % 2 == 0 else -1
-        for c, count in enumerate(row):
-            if count:
-                coeffs[m - s - n + c] += sign * count
-    return IntPolynomial(tuple(coeffs))
+    isolated, loops, steps = _frontier_plan(g)
+    add, _ = index_tables(b.spec)
+    idx = b.indices
+    w = g.edge_count + 2
+    k = 1 << w
+    states: dict[tuple[int, ...], int] = {}
+    if not any(idx[v] for v in isolated):
+        states[()] = k ** len(isolated)
+    # A key is f labels followed by f sums, for the f frontier positions.
+    for root, f, p, q, new, bundle, gone in steps:
+        if root >= 0:  # a component starts; the frontier was empty, so one state
+            states = {(0, idx[root]): value for value in states.values()}
+        # A bundle of j parallel edges: deleting them all gives (-1)^j and
+        # keeping some (k - 1)^j - (-1)^j; inside one block, (k - 1)^j in all.
+        apart = -1 if bundle & 1 else 1
+        same = (k - 1) ** bundle
+        joined = same - apart
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        if new >= 0:  # the vertex new enters at position f, a block of its own
+            bv = idx[new]
+            for key, value in states.items():
+                a = key[p]
+                s = f + a
+                alone = key[:f] + (f,) + key[f:] + (bv,)
+                out[alone] = get(alone, 0) + apart * value
+                merged = key[:f] + (a,) + key[f:s] + (add[key[s]][bv],) + key[s + 1 :] + (0,)
+                out[merged] = get(merged, 0) + joined * value
+            f += 1
+        else:
+            for key, value in states.items():
+                a, c = key[p], key[q]
+                if a == c:
+                    out[key] = get(key, 0) + same * value
+                    continue
+                out[key] = get(key, 0) + apart * value
+                if a > c:
+                    a, c = c, a
+                sa, sc = f + a, f + c
+                merged = (
+                    tuple([a if x == c else x for x in key[:f]])
+                    + key[f:sa]
+                    + (add[key[sa]][key[sc]],)
+                    + key[sa + 1 : sc]
+                    + (0,)
+                    + key[sc + 1 :]
+                )
+                out[merged] = get(merged, 0) + joined * value
+        if not gone:
+            states = out
+            continue
+        states = {}
+        if len(gone) == f:  # the frontier empties and every block closes
+            for key, value in out.items():
+                if not any(key[f:]):
+                    blocks = len(set(key[:f]))
+                    states[()] = states.get((), 0) + (value << w * blocks)
+            continue
+        for key, value in out.items():
+            e = f
+            for i in gone:  # in decreasing order, so lower positions stay put
+                if key[i] == i and i in key[i + 1 : e]:
+                    # The block goes on; its least position moves to j.
+                    j = key.index(i, i + 1, e)
+                    key = (
+                        key[:i]
+                        + tuple([j - 1 if x == i else x - (x > i) for x in key[i + 1 : e]])
+                        + key[e : e + i]
+                        + key[e + i + 1 : e + j]
+                        + (key[e + i],)
+                        + key[e + j + 1 :]
+                    )
+                else:
+                    if key[i] == i:  # the block closes
+                        if key[e + i]:
+                            break  # with a nonzero b-sum
+                        value <<= w
+                    key = (
+                        key[:i]
+                        + tuple([x - (x > i) for x in key[i + 1 : e]])
+                        + key[e : e + i]
+                        + key[e + i + 1 :]
+                    )
+                e -= 1
+            else:
+                states[key] = states.get(key, 0) + value
+    total = sum(states.values())
+    for _ in range(loops):
+        total = (total << w) - total
+    return IntPolynomial(_unpack(total, w)[g.vertex_count :])
 
 
-def _scan(
-    g: MultiGraph, b: BFunction, broken_masks: Iterable[int]
-) -> list[list[int]]:
-    """hist[|S|][c(G - S)] over the deleted sets S with G - S compatible with b
-    and containing none of the broken masks (bit i is the edge at position i).
+def _unpack(packed: int, w: int) -> tuple[int, ...]:
+    """The balanced base-2^w digits of packed, least significant first."""
+    digits = []
+    base, half = 1 << w, 1 << (w - 1)
+    while packed:
+        digit = packed & (base - 1)
+        if digit >= half:
+            digit -= base
+        digits.append(digit)
+        packed = (packed - digit) >> w
+    return tuple(digits)
+
+
+# (root, f, p, q, new, bundle, gone); see _frontier_plan.
+_Step = tuple[int, int, int, int, int, int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _frontier_plan(g: MultiGraph) -> tuple[tuple[int, ...], int, tuple[_Step, ...]]:
+    """(vertices with no edge but loops, loop count, steps) for the subset sum.
+
+    Vertices enter in breadth-first order, each component from its least
+    vertex.  A vertex enters with its first edge to a vertex seen before it,
+    and its edges to earlier vertices follow, parallel edges as one bundle.
+    The frontier lists the entered vertices with edges still to come, in
+    order of entry.  A step (root, f, p, q, new, bundle, gone) reads: a
+    component starts with its vertex root >= 0 alone on the frontier; f is
+    then the frontier's length; the bundle of that many parallel edges joins
+    position p to position q, where the vertex new >= 0 enters when q = f;
+    afterwards the vertices at the positions in gone, listed in decreasing
+    order, leave the frontier.
+    """
+    n = g.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    loops = 0
+    for edge in g.edges:
+        x, y = edge.tail, edge.head
+        if x == y:
+            loops += 1
+        else:
+            adj[x].append(y)
+            adj[y].append(x)
+    left = [len(ends) for ends in adj]
+    seen = [False] * n
+    frontier: list[int] = []
+    steps: list[_Step] = []
+    for start in range(n):
+        if seen[start] or not adj[start]:
+            continue
+        seen[start] = True
+        root = start
+        queue = [start]
+        for x in queue:  # the loop also reads the vertices it appends
+            for v in adj[x]:
+                if seen[v]:
+                    continue
+                seen[v] = True
+                queue.append(v)
+                bundles: dict[int, int] = {}
+                for u in adj[v]:
+                    if seen[u]:
+                        bundles[u] = bundles.get(u, 0) + 1
+                new = v
+                for u, bundle in bundles.items():
+                    if root >= 0:
+                        frontier.append(root)
+                    f = len(frontier)
+                    p = frontier.index(u)
+                    if new >= 0:
+                        q = f
+                        frontier.append(v)
+                    else:
+                        q = frontier.index(v)
+                    left[u] -= bundle
+                    left[v] -= bundle
+                    gone = ()
+                    if not left[u] or not left[v]:
+                        last = range(len(frontier) - 1, -1, -1)
+                        gone = tuple([i for i in last if not left[frontier[i]]])
+                        frontier = [y for y in frontier if left[y]]
+                    steps.append((root, f, p, q, new, bundle, gone))
+                    root = new = -1
+    isolated = tuple([v for v in range(n) if not adj[v]])
+    return isolated, loops, tuple(steps)
+
+
+def _scan(g: MultiGraph, b: BFunction, broken_masks: Iterable[int]) -> list[int]:
+    """counts[|S|] over the deleted sets S with G - S compatible with b and
+    containing none of the broken masks (bit i is the edge at position i).
 
     A depth-first walk decides the edges in position order, deleting or
     keeping each.  Kept edges are joined in a union-find with union by size
     and no path compression, so every union is undone exactly on backtrack.
-    Each root holds its block's b-sum as a group-element index, and two
-    running counters (blocks, blocks with a nonzero sum) make the leaf test
-    O(1).  A mask is checked when its highest edge is deleted; once a mask is
-    fully deleted, every leaf below contains it and the subtree is skipped.
+    Each root holds its block's b-sum as a group-element index, and a
+    running count of blocks with a nonzero sum makes the leaf test O(1).  A
+    mask is checked when its highest edge is deleted; once a mask is fully
+    deleted, every leaf below contains it and the subtree is skipped.
     """
     n, m = g.vertex_count, g.edge_count
-    hist = [[0] * (n + 1) for _ in range(m + 1)]
+    counts = [0] * (m + 1)
     ends: list[list[int]] = [[] for _ in range(m)]
     for mask in broken_masks:
         if not mask:  # the empty set lies in every S
-            return hist
+            return counts
         ends[mask.bit_length() - 1].append(mask)
     add, _ = index_tables(b.spec)
     total = list(b.indices)
@@ -258,7 +439,7 @@ def _scan(
     pairs = g.pairs()
     last = m - 1
 
-    def descend(i: int, deleted: int, s: int, blocks: int, nonzero: int) -> None:
+    def descend(i: int, deleted: int, s: int, nonzero: int) -> None:
         # The children of the last edge are leaves: tallied here, not called.
         leaf = i == last
         gone = deleted | 1 << i
@@ -267,9 +448,9 @@ def _scan(
                 break
         else:
             if not leaf:
-                descend(i + 1, gone, s + 1, blocks, nonzero)
+                descend(i + 1, gone, s + 1, nonzero)
             elif not nonzero:
-                hist[s + 1][blocks] += 1
+                counts[s + 1] += 1
         x, y = pairs[i]
         while parent[x] != x:
             x = parent[x]
@@ -277,9 +458,9 @@ def _scan(
             y = parent[y]
         if x == y:
             if not leaf:
-                descend(i + 1, deleted, s, blocks, nonzero)
+                descend(i + 1, deleted, s, nonzero)
             elif not nonzero:
-                hist[s][blocks] += 1
+                counts[s] += 1
             return
         if size[x] < size[y]:
             x, y = y, x
@@ -288,22 +469,22 @@ def _scan(
         nonzero += (joined != 0) - (sx != 0) - (sy != 0)
         if leaf:
             if not nonzero:
-                hist[s][blocks - 1] += 1
+                counts[s] += 1
             return
         parent[y] = x
         size[x] += size[y]
         total[x] = joined
-        descend(i + 1, deleted, s, blocks - 1, nonzero)
+        descend(i + 1, deleted, s, nonzero)
         parent[y] = y
         size[x] -= size[y]
         total[x] = sx
 
     nonzero = sum(1 for t in total if t)
     if m:
-        descend(0, 0, 0, n, nonzero)
+        descend(0, 0, 0, nonzero)
     elif not nonzero:
-        hist[0][n] = 1
-    return hist
+        counts[0] = 1
+    return counts
 
 
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
@@ -358,8 +539,7 @@ def poly_nbb(
     ]
     top = cycle_rank(g)
     counts = [0] * (top + 1)
-    for size, row in enumerate(_scan(g, b, broken)):
-        count = sum(row)
+    for size, count in enumerate(_scan(g, b, broken)):
         if not count:
             continue
         if size > top:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -232,6 +233,76 @@ def test_large_nonzero_boundary_algorithms_agree(g, b):
     for order in orders:
         assert poly_nbb(g, b, order) == expected
     assert expected.eval(b.spec.order) == count_nz_flows_bruteforce(g, b) > 0
+
+
+# ---------------------------------------------------------------------------
+# The frontier program behind poly_subset_expansion, on shapes it treats apart.
+
+# An isolated vertex (4), a vertex with only loops (3), a doubled edge as its
+# own component (5-6) and a triangle with a parallel edge and a loop.
+SCATTERED = MultiGraph.from_pairs(
+    7, [(5, 6), (3, 3), (0, 1), (2, 0), (3, 3), (1, 2), (6, 5), (1, 0), (2, 2)]
+)
+ONLY_LOOPS = MultiGraph.from_pairs(3, [(1, 1), (0, 0), (1, 1)])
+# K2,5 with vertex 0 on the 2 side: breadth first from 0, the frontier holds
+# all six other vertices at once.
+K25 = MultiGraph.from_pairs(7, [(v, a) for v in (4, 1, 5, 3, 2) for a in (6, 0)])
+
+
+@pytest.mark.parametrize(
+    "g", [SCATTERED, ONLY_LOOPS, K25], ids=["scattered", "only-loops", "K2,5"]
+)
+def test_frontier_program_matches_definition(g):
+    subsets = _literal_subsets(g)
+    rng = random.Random(5)
+    for spec in WIDE_GROUPS:
+        for b in [BFunction.zero(spec, g.vertex_count)] + [
+            _random_compatible_b(g, spec, rng) for _ in range(4)
+        ]:
+            expected = _expansion_by_definition(subsets, cycle_rank(g), b)
+            assert poly_subset_expansion(g, b) == expected
+
+
+def test_subset_expansion_ignores_labels_and_edge_order():
+    # The program picks its own vertex order, so relabelling the vertices and
+    # permuting the edge list must give the same polynomial.
+    rng = random.Random(11)
+    wheel = MultiGraph.from_pairs(
+        9, [(i, (i + 1) % 8) for i in range(8)] + [(i, 8) for i in range(8)]
+    )
+    graphs_ = [wheel, SCATTERED, K25]
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        graphs_.append(
+            MultiGraph.from_pairs(
+                n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+            )
+        )
+    for g in graphs_:
+        spec = rng.choice(WIDE_GROUPS)
+        b = _random_compatible_b(g, spec, rng)
+        expected = poly_subset_expansion(g, b)
+        for _ in range(3):
+            label = list(range(g.vertex_count))
+            rng.shuffle(label)
+            pairs = [(label[t], label[h]) for t, h in g.pairs()]
+            rng.shuffle(pairs)
+            values = [None] * g.vertex_count
+            for v, value in enumerate(b.values):
+                values[label[v]] = value
+            moved = MultiGraph.from_pairs(g.vertex_count, pairs)
+            assert poly_subset_expansion(moved, BFunction(spec, tuple(values))) == expected
+
+
+def test_w12_zero_boundary_closed_form():
+    # 24 edges: 2^24 subsets, but a frontier of a few vertices.
+    w12 = MultiGraph.from_pairs(
+        13, [(i, (i + 1) % 12) for i in range(12)] + [(i, 12) for i in range(12)]
+    )
+    shifted = [math.comb(12, i) * (-2) ** (12 - i) for i in range(13)]  # (k - 2)^12
+    shifted[0] += -2
+    shifted[1] += 1
+    assert poly_subset_expansion(w12, BFunction.zero(Z3, 13)) == IntPolynomial(tuple(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +550,19 @@ def test_clear_caches_empties_every_cache():
         abelian.residue_strides,
         graphs.components,
         graphs._lambda_family_cached,
+        graphs.lambda_members,
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
+        assigning._frontier_plan,
     )
     lambda_family(complete(4))
     bonds(complete(4))
     abelian.index_tables(Z3)
     b = BFunction.zero(Z3, 3)
     compat_signature(triangle(), b)
+    induced_assigning(triangle(), b)
+    poly_subset_expansion(triangle(), b)
     count_nz_flows_bruteforce(triangle(), b)
     assert all(cache.cache_info().currsize > 0 for cache in caches)
     flowpoly.clear_caches()

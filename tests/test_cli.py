@@ -182,6 +182,38 @@ def test_poly_force_honours_budget(capsys, k8_file):
     assert "resource guard" in err
 
 
+def _wheel_file(tmp_path, rim: int, extra: int = 0) -> str:
+    """The wheel with rim vertices 0..rim-1 and hub rim, plus extra hub loops."""
+    pairs = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]
+    pairs += [(rim, rim)] * extra
+    target = tmp_path / f"w{rim}.graph"
+    target.write_text(f"{rim + 1} {len(pairs)}\n" + "".join(f"{t} {h}\n" for t, h in pairs))
+    return str(target)
+
+
+def test_poly_subset_w12_closed_form(capsys, tmp_path):
+    code, report, _ = run_cli(
+        capsys, "poly", _wheel_file(tmp_path, 12), "--group", "Z3", "--algorithm", "subset"
+    )
+    assert code == 0
+    assert report["m"] == 24
+    # (k - 2)^12 + (k - 2)
+    assert report["polynomial"] == (
+        "k^12 - 24k^11 + 264k^10 - 1760k^9 + 7920k^8 - 25344k^7 + 59136k^6"
+        " - 101376k^5 + 126720k^4 - 112640k^3 + 67584k^2 - 24575k + 4094"
+    )
+
+
+def test_poly_25_edges_needs_force(capsys, tmp_path):
+    graph = _wheel_file(tmp_path, 12, extra=1)
+    code, report, err = run_cli(
+        capsys, "poly", graph, "--group", "Z3", "--algorithm", "subset"
+    )
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "25 edges" in err
+
+
 # ---------------------------------------------------------------------------
 # flows subcommand.
 
