@@ -76,6 +76,7 @@ def clear_caches() -> None:
         flows._boundary_histogram,
         assigning._structure,
         assigning._frontier_plan,
+        assigning._nbb_plan,
     ):
         cache.cache_clear()
 

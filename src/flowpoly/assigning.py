@@ -11,12 +11,13 @@ two independent ways, which share no enumeration code:
   the 2^m subsets.
 * ``poly_nbb``: signless coefficients a_i counted as the compatible i-edge
   subsets containing no compatible broken bond for a chosen edge order.
-  The subsets are walked in one depth-first scan: edges are deleted or kept
-  one at a time, a union-find undone on backtrack carries each block's
-  b-sum, and a subtree whose deleted edges already contain a compatible
-  broken bond is skipped whole.  A bond E[X, W - X] of a b-compatible graph
-  is compatible exactly when b sums to zero on its side X, so the broken
-  bonds come from the graph's cached bond sides and one vertex sum each.
+  Whether a partial S can still be completed depends only on the blocks of
+  its kept edges with their b-sums and on which broken bonds it has wholly
+  deleted so far, so a second dynamic program over the edges, with a plan
+  of its own, counts the subsets by size over those states.  A bond
+  E[X, W - X] of a b-compatible graph is compatible exactly when b sums to
+  zero on its side X, so the broken bonds come from the graph's cached bond
+  sides and one vertex sum each.
 
 Whether G - S is compatible with b depends only on the connected partition
 of G - S.  The verification harness groups the boundary functions of a
@@ -413,80 +414,6 @@ def _frontier_plan(g: MultiGraph) -> tuple[tuple[int, ...], int, tuple[_Step, ..
     return isolated, loops, tuple(steps)
 
 
-def _scan(g: MultiGraph, b: BFunction, broken_masks: Iterable[int]) -> list[int]:
-    """counts[|S|] over the deleted sets S with G - S compatible with b and
-    containing none of the broken masks (bit i is the edge at position i).
-
-    A depth-first walk decides the edges in position order, deleting or
-    keeping each.  Kept edges are joined in a union-find with union by size
-    and no path compression, so every union is undone exactly on backtrack.
-    Each root holds its block's b-sum as a group-element index, and a
-    running count of blocks with a nonzero sum makes the leaf test O(1).  A
-    mask is checked when its highest edge is deleted; once a mask is fully
-    deleted, every leaf below contains it and the subtree is skipped.
-    """
-    n, m = g.vertex_count, g.edge_count
-    counts = [0] * (m + 1)
-    ends: list[list[int]] = [[] for _ in range(m)]
-    for mask in broken_masks:
-        if not mask:  # the empty set lies in every S
-            return counts
-        ends[mask.bit_length() - 1].append(mask)
-    add, _ = index_tables(b.spec)
-    total = list(b.indices)
-    parent = list(range(n))
-    size = [1] * n
-    pairs = g.pairs()
-    last = m - 1
-
-    def descend(i: int, deleted: int, s: int, nonzero: int) -> None:
-        # The children of the last edge are leaves: tallied here, not called.
-        leaf = i == last
-        gone = deleted | 1 << i
-        for mask in ends[i]:
-            if gone & mask == mask:
-                break
-        else:
-            if not leaf:
-                descend(i + 1, gone, s + 1, nonzero)
-            elif not nonzero:
-                counts[s + 1] += 1
-        x, y = pairs[i]
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x == y:
-            if not leaf:
-                descend(i + 1, deleted, s, nonzero)
-            elif not nonzero:
-                counts[s] += 1
-            return
-        if size[x] < size[y]:
-            x, y = y, x
-        sx, sy = total[x], total[y]
-        joined = add[sx][sy]
-        nonzero += (joined != 0) - (sx != 0) - (sy != 0)
-        if leaf:
-            if not nonzero:
-                counts[s] += 1
-            return
-        parent[y] = x
-        size[x] += size[y]
-        total[x] = joined
-        descend(i + 1, deleted, s, nonzero)
-        parent[y] = y
-        size[x] -= size[y]
-        total[x] = sx
-
-    nonzero = sum(1 for t in total if t)
-    if m:
-        descend(0, 0, 0, nonzero)
-    elif not nonzero:
-        counts[0] = 1
-    return counts
-
-
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
     """Bonds whose removal leaves the graph compatible with b.
 
@@ -526,20 +453,96 @@ def poly_nbb(
     The signless coefficient a_i is the number of i-edge subsets S such that
     G - S stays compatible with b and S contains no compatible broken bond
     for the given edge order; the polynomial is sum (-1)^i a_i k^(m(G)-i).
-    The subsets are counted by the depth-first scan at every edge count,
-    which skips each subtree whose deleted edges contain a broken bond.
+
+    The subsets are counted edge by edge, in the order of ``_nbb_plan``,
+    over states instead of subsets.  The kept edges split the vertices into
+    blocks, each rooted at its least open vertex (one with edges still to
+    decide).  A state is a pair.  Its string has one character per vertex,
+    with q the group's order: a root holds its block's b-sum as a
+    group-element index, any other open vertex q plus its root, and a closed
+    vertex 0.  Its int, live, has the bits of the broken bonds whose first
+    edge is decided and whose edges so far are all deleted.  Deleting the
+    last edge of a live bond would put the bond inside S, so that branch is
+    dropped; keeping an edge of a bond clears its bit.  A block whose last
+    open vertex closes with a nonzero b-sum leaves G - S incompatible and
+    drops the state.  A value counts the subsets reaching its state by |S|,
+    packed into one int in base-2^(m + 2) digits, so deleting an edge shifts
+    it one digit up.  Loops lie in no bond and change no block, so each
+    doubles the count: S holds it or not.
     """
     _check_vertex_function(g, b)
     _guard_edges(g, max_edges)
-    pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
+    edge_bit, loops, steps = _nbb_plan(g)
     # broken_bonds validates the order and requires g to be compatible with b.
-    broken = [
-        sum(1 << pos_of[edge_id] for edge_id in bond)
-        for bond in broken_bonds(g, b, order)
-    ]
+    broken = [sum(map(edge_bit.__getitem__, bond)) for bond in broken_bonds(g, b, order)]
     top = cycle_rank(g)
     counts = [0] * (top + 1)
-    for size, count in enumerate(_scan(g, b, broken)):
+    if 0 in broken:  # the empty set lies in every S
+        return IntPolynomial.from_signless(counts, top)
+    # Bond j has bit j: in start at its first step, in end at its last, and
+    # in inside at each of its steps.
+    start = [0] * len(steps)
+    end = [0] * len(steps)
+    inside = [0] * len(steps)
+    for j, mask in enumerate(broken):
+        bit = 1 << j
+        start[(mask & -mask).bit_length() - 1] |= bit
+        end[mask.bit_length() - 1] |= bit
+        while mask:
+            low = mask & -mask
+            inside[low.bit_length() - 1] |= bit
+            mask ^= low
+    add, _ = index_tables(b.spec)
+    q = b.spec.order
+    w = g.edge_count + 2
+    # Before its first edge every vertex is a block of its own.
+    states = {("".join(map(chr, b.indices)), 0): 1}
+    for (x, y, closing), first, last, within in zip(steps, start, end, inside):
+        out: dict[tuple[str, int], int] = {}
+        get = out.get
+        for (codes, live), value in states.items():
+            if not last & (live | first):
+                key = (codes, (live | first) & ~last)
+                out[key] = get(key, 0) + (value << w)
+            a = ord(codes[x])
+            a = x if a < q else a - q
+            c = ord(codes[y])
+            c = y if c < q else c - q
+            if a != c:
+                if a > c:
+                    a, c = c, a
+                codes = codes.replace(chr(q + c), chr(q + a))
+                joined = chr(add[ord(codes[a])][ord(codes[c])])
+                codes = codes[:a] + joined + codes[a + 1 : c] + chr(q + a) + codes[c + 1 :]
+            key = (codes, live & ~within)
+            out[key] = get(key, 0) + value
+        if not closing:
+            states = out
+            continue
+        states = {}
+        for (codes, live), value in out.items():
+            for v in closing:
+                code = codes[v]
+                if ord(code) >= q:
+                    codes = codes[:v] + "\0" + codes[v + 1 :]
+                    continue
+                # v roots its block
+                mark = chr(q + v)
+                r = codes.find(mark)
+                if r >= 0:  # the block goes on, rooted at its least open vertex r
+                    codes = codes.replace(mark, chr(q + r))
+                    codes = codes[:v] + "\0" + codes[v + 1 : r] + code + codes[r + 1 :]
+                elif code != "\0":
+                    break  # the block closes with a nonzero b-sum
+            else:
+                key = (codes, live)
+                states[key] = states.get(key, 0) + value
+    total = sum(states.values())
+    for _ in range(loops):
+        total += total << w
+    digit = (1 << w) - 1
+    for size in range(g.edge_count + 1):
+        count = total >> size * w & digit
         if not count:
             continue
         if size > top:
@@ -548,6 +551,55 @@ def poly_nbb(
             )
         counts[size] = count
     return IntPolynomial.from_signless(counts, top)
+
+
+# (x, y, closing) per decided edge; see _nbb_plan.
+_Decision = tuple[int, int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _nbb_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
+    """(2^rank for each non-loop edge id, loop count, steps) for ``poly_nbb``.
+
+    Vertices are discovered breadth first, each component from its least
+    vertex, and a discovered vertex brings its edges to the vertices
+    discovered before it, in edge-list order.  Step r decides the edge of
+    rank r, between vertices x and y; afterwards the vertices in closing
+    have no edge left to decide.
+    """
+    n = g.vertex_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    loops = 0
+    for edge in g.edges:
+        x, y = edge.tail, edge.head
+        if x == y:
+            loops += 1
+        else:
+            adj[x].append((y, edge.id))
+            adj[y].append((x, edge.id))
+    left = [len(ends) for ends in adj]
+    seen = [False] * n
+    edge_bit: dict[int, int] = {}
+    steps: list[_Decision] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for x in queue:  # the loop also reads the vertices it appends
+            for v, _ in adj[x]:
+                if seen[v]:
+                    continue
+                seen[v] = True
+                queue.append(v)
+                for u, edge_id in adj[v]:
+                    if seen[u]:
+                        edge_bit[edge_id] = 1 << len(steps)
+                        left[u] -= 1
+                        left[v] -= 1
+                        closing = tuple([z for z in (u, v) if not left[z]])
+                        steps.append((u, v, closing))
+    return edge_bit, loops, tuple(steps)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 
@@ -158,22 +158,6 @@ def _adjacency(g: MultiGraph) -> list[list[int]]:
     return adj
 
 
-def _is_connected_subset(adj: Sequence[Sequence[int]], subset: frozenset[int]) -> bool:
-    """True when the induced subgraph on subset is connected (and nonempty)."""
-    if not subset:
-        return False
-    start = next(iter(subset))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in subset and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(subset)
-
-
 def bonds(g: MultiGraph) -> list[EdgeSet]:
     """All bonds (minimal nonempty edge cuts), each once, lexicographic.
 
@@ -191,30 +175,48 @@ def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
     X is the half holding the least vertex of W, which also deduplicates the
     two halves; every such X is a member of the lambda family.
     """
-    adj = _adjacency(g)
+    near = [0] * g.vertex_count  # neighbour bitmasks
+    crossing: list[tuple[int, int, int]] = []
+    for e in g.edges:
+        if not e.is_loop:
+            near[e.tail] |= 1 << e.head
+            near[e.head] |= 1 << e.tail
+            crossing.append((e.id, e.tail, e.head))
+
+    def connected(mask: int) -> bool:
+        reached = grown = mask & -mask
+        while grown:
+            step = 0
+            while grown:
+                low = grown & -grown
+                step |= near[low.bit_length() - 1]
+                grown ^= low
+            grown = step & mask & ~reached
+            reached |= grown
+        return reached == mask
+
     found: list[tuple[EdgeSet, VertexSet]] = []
     for comp in components(g):
         if len(comp) < 2:
             continue
         members = sorted(comp)
-        anchor, rest = members[0], members[1:]
-        for bits in range(1 << len(rest)):
-            side = {anchor}
-            for i, v in enumerate(rest):
-                if bits >> i & 1:
-                    side.add(v)
-            if len(side) == len(members):
-                continue
-            side_f = frozenset(side)
-            other_f = comp - side_f
-            if not _is_connected_subset(adj, side_f):
-                continue
-            if not _is_connected_subset(adj, other_f):
-                continue
-            cut = frozenset(
-                e.id for e in g.edges if (e.tail in side_f) != (e.head in side_f)
-            )
-            found.append((cut, side_f))
+        whole = sum(1 << v for v in members)
+        # Every side holds the anchor, the least member.  The sides over the
+        # next 12 members are listed by doubling a list; the members beyond
+        # them are counted through, so the list stays at 4096 masks.
+        low = [1 << members[0]]
+        for v in members[1:13]:
+            low += [side | 1 << v for side in low]
+        high = members[13:]
+        for bits in range(1 << len(high)):
+            extra = sum([1 << v for i, v in enumerate(high) if bits >> i & 1])
+            for side in low:
+                side |= extra
+                if side != whole and connected(side) and connected(whole ^ side):
+                    cut = frozenset(
+                        [edge_id for edge_id, t, h in crossing if (side >> t ^ side >> h) & 1]
+                    )
+                    found.append((cut, frozenset([v for v in members if side >> v & 1])))
     return tuple(sorted(found, key=lambda pair: sorted(pair[0])))
 
 

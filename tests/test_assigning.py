@@ -302,7 +302,85 @@ def test_w12_zero_boundary_closed_form():
     shifted = [math.comb(12, i) * (-2) ** (12 - i) for i in range(13)]  # (k - 2)^12
     shifted[0] += -2
     shifted[1] += 1
-    assert poly_subset_expansion(w12, BFunction.zero(Z3, 13)) == IntPolynomial(tuple(shifted))
+    closed_form = IntPolynomial(tuple(shifted))
+    assert poly_subset_expansion(w12, BFunction.zero(Z3, 13)) == closed_form
+    assert poly_nbb(w12, BFunction.zero(Z3, 13)) == closed_form
+
+
+# ---------------------------------------------------------------------------
+# The edge program behind poly_nbb, against the count it makes.
+
+
+def _nbb_by_definition(subsets, g: MultiGraph, b: BFunction, order: EdgeOrder) -> list[int]:
+    """a_i tallied literally: the i-edge S with G - S compatible and no
+    broken bond inside S, for every mask S."""
+    broken = broken_bonds(g, b, order)
+    counts = [0] * (g.edge_count + 1)
+    for rest, _, _ in subsets:
+        removed = frozenset(g.edge_ids) - frozenset(rest.edge_ids)
+        if is_b_compatible(rest, b) and not any(bond <= removed for bond in broken):
+            counts[len(removed)] += 1
+    return counts
+
+
+def _check_nbb_counts(g: MultiGraph, b: BFunction, order: EdgeOrder, subsets) -> None:
+    top = cycle_rank(g)
+    counts = _nbb_by_definition(subsets, g, b, order)
+    assert not any(counts[top + 1 :])
+    assert poly_nbb(g, b, order).signless_coefficients(top) == tuple(counts[: top + 1])
+
+
+def test_nbb_counts_match_definition():
+    rng = random.Random(909)
+    seen_loop = seen_parallel = False
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 9)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+        seen_loop |= any(t == h for t, h in pairs)
+        seen_parallel |= len({frozenset(p) for p in pairs}) < m
+        g = MultiGraph.from_pairs(n, pairs)
+        subsets = _literal_subsets(g)
+        for spec in WIDE_GROUPS:
+            b = _random_compatible_b(g, spec, rng)
+            _check_nbb_counts(g, b, EdgeOrder.shuffled(g, rng), subsets)
+    assert seen_loop and seen_parallel
+
+
+# Two triangles joined by a bridge, and by a parallel pair: the pair is a
+# 2-edge bond, so b = 0 gives it a 1-edge broken bond.
+BRIDGED = MultiGraph.from_pairs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+PAIR_BOND = MultiGraph.from_pairs(
+    6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 3), (3, 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [BRIDGED, PAIR_BOND, SCATTERED, ONLY_LOOPS, K25],
+    ids=["bridge", "pair-bond", "scattered", "only-loops", "K2,5"],
+)
+def test_nbb_shapes_match_definition(g):
+    subsets = _literal_subsets(g)
+    rng = random.Random(6)
+    for spec in WIDE_GROUPS:
+        for b in [BFunction.zero(spec, g.vertex_count)] + [
+            _random_compatible_b(g, spec, rng) for _ in range(3)
+        ]:
+            _check_nbb_counts(g, b, EdgeOrder.shuffled(g, rng), subsets)
+
+
+def test_nbb_bridge_and_one_edge_broken_bond():
+    b = BFunction.zero(Z3, 6)
+    # A compatible bridge is a broken bond with no edges: the zero polynomial.
+    assert broken_bonds(BRIDGED, b)[0] == frozenset()
+    assert poly_nbb(BRIDGED, b).is_zero
+    # With nonzero sums on the triangles, the bridge is no compatible bond.
+    one_side = BFunction(Z3, ((1,), (0,), (0,), (2,), (0,), (0,)))
+    assert poly_nbb(BRIDGED, one_side) == poly_subset_expansion(BRIDGED, one_side)
+    assert not poly_nbb(BRIDGED, one_side).is_zero
+    assert frozenset({3}) in broken_bonds(PAIR_BOND, b)
+    assert poly_nbb(PAIR_BOND, b) == poly_subset_expansion(PAIR_BOND, b)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +633,7 @@ def test_clear_caches_empties_every_cache():
         flows._boundary_histogram,
         assigning._structure,
         assigning._frontier_plan,
+        assigning._nbb_plan,
     )
     lambda_family(complete(4))
     bonds(complete(4))
@@ -563,6 +642,7 @@ def test_clear_caches_empties_every_cache():
     compat_signature(triangle(), b)
     induced_assigning(triangle(), b)
     poly_subset_expansion(triangle(), b)
+    poly_nbb(triangle(), b)
     count_nz_flows_bruteforce(triangle(), b)
     assert all(cache.cache_info().currsize > 0 for cache in caches)
     flowpoly.clear_caches()

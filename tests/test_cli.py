@@ -191,17 +191,29 @@ def _wheel_file(tmp_path, rim: int, extra: int = 0) -> str:
     return str(target)
 
 
+# (k - 2)^12 + (k - 2), the nowhere-zero flow polynomial of W12
+W12_CLOSED_FORM = (
+    "k^12 - 24k^11 + 264k^10 - 1760k^9 + 7920k^8 - 25344k^7 + 59136k^6"
+    " - 101376k^5 + 126720k^4 - 112640k^3 + 67584k^2 - 24575k + 4094"
+)
+
+
 def test_poly_subset_w12_closed_form(capsys, tmp_path):
     code, report, _ = run_cli(
         capsys, "poly", _wheel_file(tmp_path, 12), "--group", "Z3", "--algorithm", "subset"
     )
     assert code == 0
     assert report["m"] == 24
-    # (k - 2)^12 + (k - 2)
-    assert report["polynomial"] == (
-        "k^12 - 24k^11 + 264k^10 - 1760k^9 + 7920k^8 - 25344k^7 + 59136k^6"
-        " - 101376k^5 + 126720k^4 - 112640k^3 + 67584k^2 - 24575k + 4094"
+    assert report["polynomial"] == W12_CLOSED_FORM
+
+
+def test_poly_nbb_w12_closed_form(capsys, tmp_path):
+    code, report, _ = run_cli(
+        capsys, "poly", _wheel_file(tmp_path, 12), "--group", "Z3", "--algorithm", "nbb"
     )
+    assert code == 0
+    assert report["m"] == 24
+    assert report["polynomial"] == W12_CLOSED_FORM
 
 
 def test_poly_25_edges_needs_force(capsys, tmp_path):

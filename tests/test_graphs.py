@@ -164,6 +164,14 @@ def test_loop_never_in_a_bond():
     assert bonds(g) == [frozenset({1})]
 
 
+def test_bonds_beyond_thirteen_vertices():
+    # Components of more than 13 vertices walk their sides in two parts.
+    cycle16 = MultiGraph.from_pairs(16, [(i, (i + 1) % 16) for i in range(16)])
+    assert bonds(cycle16) == [frozenset(pair) for pair in itertools.combinations(range(16), 2)]
+    path15 = MultiGraph.from_pairs(15, [(i, i + 1) for i in range(14)])
+    assert bonds(path15) == [frozenset({i}) for i in range(14)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(max_vertices=6, max_edges=10))
 def test_bonds_match_bruteforce_minimal_cuts(g):
