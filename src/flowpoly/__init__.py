@@ -75,8 +75,7 @@ def clear_caches() -> None:
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
-        assigning._frontier_plan,
-        assigning._nbb_plan,
+        assigning._edge_plan,
     ):
         cache.cache_clear()
 

@@ -1,23 +1,24 @@
 """Assignings and the two polynomial algorithms built on them.
 
 The polynomial that counts nowhere-zero flows with boundary b is computed
-two independent ways, which share no enumeration code:
+two independent ways.  Both run edge by edge over the same cached plan,
+``_edge_plan``, and carry the same state: the blocks of the kept edges as
+one character per vertex, each root holding its block's b-sum.  They share
+no other code.
 
 * ``poly_subset_expansion``: sum (-1)^|S| k^m(G-S) over edge subsets S whose
   removal leaves the graph compatible with b.  The terms depend on S only
-  through the blocks of G - S and their b-sums, so a dynamic program adds
-  them up edge by edge over the partitions of a small vertex frontier
-  (the transfer-matrix method for Tutte-type polynomials) instead of over
-  the 2^m subsets.
+  through the blocks of G - S and their b-sums, so the sum runs over those
+  states (the transfer-matrix method for Tutte-type polynomials) instead of
+  over the 2^m subsets.
 * ``poly_nbb``: signless coefficients a_i counted as the compatible i-edge
   subsets containing no compatible broken bond for a chosen edge order.
-  Whether a partial S can still be completed depends only on the blocks of
-  its kept edges with their b-sums and on which broken bonds it has wholly
-  deleted so far, so a second dynamic program over the edges, with a plan
-  of its own, counts the subsets by size over those states.  A bond
-  E[X, W - X] of a b-compatible graph is compatible exactly when b sums to
-  zero on its side X, so the broken bonds come from the graph's cached bond
-  sides and one vertex sum each.
+  Whether a partial S can still be completed depends only on its blocks and
+  on which broken bonds it has wholly deleted so far, so the subsets are
+  counted by size over those states.  A bond E[X, W - X] of a b-compatible
+  graph is compatible exactly when b sums to zero on its side X, so the
+  broken bonds come from the graph's cached bond sides and one vertex sum
+  each.
 
 Whether G - S is compatible with b depends only on the connected partition
 of G - S.  The verification harness groups the boundary functions of a
@@ -31,7 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
@@ -60,23 +60,12 @@ class Assigning:
 
     entries: tuple[tuple[tuple[int, ...], int], ...]
 
-    @classmethod
-    def from_dict(cls, mapping: dict[tuple[int, ...], int]) -> "Assigning":
-        return cls(tuple(sorted(mapping.items())))
-
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.entries)
 
     @property
     def domain(self) -> tuple[tuple[int, ...], ...]:
         return tuple(key for key, _ in self.entries)
-
-    def value(self, members: Iterable[int]) -> int:
-        key = tuple(sorted(members))
-        for entry_key, bit in self.entries:
-            if entry_key == key:
-                return bit
-        raise InputError(f"{key} is not in the lambda family of this assigning")
 
     def pointwise_le(self, other: "Assigning") -> bool:
         if self.domain != other.domain:
@@ -218,114 +207,77 @@ def poly_subset_expansion(
     (A', b')-flows; in particular at |A| it counts the nowhere-zero
     (A, b)-flows themselves.
 
-    The sum over S runs edge by edge, in the order of ``_frontier_plan``,
-    over states instead of subsets.  The frontier is the list of entered
-    vertices that still have edges to come.  A state is the partition of
-    the frontier into blocks of G - S, each block labelled by its least
-    frontier position, and each block's b-sum kept at that position (the
-    other positions hold 0).  Its value is the sum of
-    (-1)^|S| k^(kept edges + closed blocks) over the decided edges that
-    reach it: deleting an edge negates, keeping one multiplies by k.  A
-    block closes when its last vertex leaves the frontier; a nonzero b-sum
-    then makes G - S incompatible and drops the state, and a zero sum is one
-    more component, a factor k.  Since m(G - S) = kept + components - n,
-    the final value is shifted down by n.  Values are polynomials packed
-    into one int, in balanced base-2^(m + 2) digits, which hold every
-    partial coefficient (at most 2^m in size).
+    The sum over S runs edge by edge, in the order of ``_edge_plan``, over
+    states instead of subsets.  The kept edges split the vertices into
+    blocks, each rooted at its least open vertex (one with edges still to
+    decide).  A state is a string with one character per vertex, with q the
+    group's order: a root holds its block's b-sum as a group-element index,
+    any other open vertex q plus its root, and a closed vertex 0.  Its value
+    is the sum of (-1)^|S| k^(kept edges + closed blocks) over the decided
+    edges that reach it: deleting an edge negates, keeping one multiplies by
+    k and merges the blocks of its ends.  A block whose last open vertex
+    closes with a nonzero b-sum leaves G - S incompatible and drops the
+    state; a zero sum is one more component, a factor k.  Vertices with no
+    edge but loops never close and are one component each.  Since
+    m(G - S) = kept + components - n, the final value is shifted down by n.
+    Loops join no blocks, so each multiplies by k - 1.  Values are
+    polynomials packed into one int, in balanced base-2^(m + 2) digits,
+    which hold every partial coefficient (at most 2^m in size).
     """
     _check_vertex_function(g, b)
     _guard_edges(g, max_edges)
     require_compatible(g, b)
-    isolated, loops, steps = _frontier_plan(g)
+    _, loops, steps = _edge_plan(g)
     add, _ = index_tables(b.spec)
-    idx = b.indices
+    q = b.spec.order
+    n = g.vertex_count
     w = g.edge_count + 2
-    k = 1 << w
-    states: dict[tuple[int, ...], int] = {}
-    if not any(idx[v] for v in isolated):
-        states[()] = k ** len(isolated)
-    # A key is f labels followed by f sums, for the f frontier positions.
-    for root, f, p, q, new, bundle, gone in steps:
-        if root >= 0:  # a component starts; the frontier was empty, so one state
-            states = {(0, idx[root]): value for value in states.values()}
-        # A bundle of j parallel edges: deleting them all gives (-1)^j and
-        # keeping some (k - 1)^j - (-1)^j; inside one block, (k - 1)^j in all.
-        apart = -1 if bundle & 1 else 1
-        same = (k - 1) ** bundle
-        joined = same - apart
-        out: dict[tuple[int, ...], int] = {}
+    closed = 0
+    # Before its first edge every vertex is a block of its own.
+    states = {"".join(map(chr, b.indices)): 1}
+    for x, y, closing in steps:
+        out: dict[str, int] = {}
         get = out.get
-        if new >= 0:  # the vertex new enters at position f, a block of its own
-            bv = idx[new]
-            for key, value in states.items():
-                a = key[p]
-                s = f + a
-                alone = key[:f] + (f,) + key[f:] + (bv,)
-                out[alone] = get(alone, 0) + apart * value
-                merged = key[:f] + (a,) + key[f:s] + (add[key[s]][bv],) + key[s + 1 :] + (0,)
-                out[merged] = get(merged, 0) + joined * value
-            f += 1
-        else:
-            for key, value in states.items():
-                a, c = key[p], key[q]
-                if a == c:
-                    out[key] = get(key, 0) + same * value
-                    continue
-                out[key] = get(key, 0) + apart * value
+        for codes, value in states.items():
+            out[codes] = get(codes, 0) - value
+            a = ord(codes[x])
+            a = x if a < q else a - q
+            c = ord(codes[y])
+            c = y if c < q else c - q
+            if a != c:
                 if a > c:
                     a, c = c, a
-                sa, sc = f + a, f + c
-                merged = (
-                    tuple([a if x == c else x for x in key[:f]])
-                    + key[f:sa]
-                    + (add[key[sa]][key[sc]],)
-                    + key[sa + 1 : sc]
-                    + (0,)
-                    + key[sc + 1 :]
-                )
-                out[merged] = get(merged, 0) + joined * value
-        if not gone:
+                codes = codes.replace(chr(q + c), chr(q + a))
+                joined = chr(add[ord(codes[a])][ord(codes[c])])
+                codes = codes[:a] + joined + codes[a + 1 : c] + chr(q + a) + codes[c + 1 :]
+            out[codes] = get(codes, 0) + (value << w)
+        if not closing:
             states = out
             continue
+        closed += len(closing)
         states = {}
-        if len(gone) == f:  # the frontier empties and every block closes
-            for key, value in out.items():
-                if not any(key[f:]):
-                    blocks = len(set(key[:f]))
-                    states[()] = states.get((), 0) + (value << w * blocks)
-            continue
-        for key, value in out.items():
-            e = f
-            for i in gone:  # in decreasing order, so lower positions stay put
-                if key[i] == i and i in key[i + 1 : e]:
-                    # The block goes on; its least position moves to j.
-                    j = key.index(i, i + 1, e)
-                    key = (
-                        key[:i]
-                        + tuple([j - 1 if x == i else x - (x > i) for x in key[i + 1 : e]])
-                        + key[e : e + i]
-                        + key[e + i + 1 : e + j]
-                        + (key[e + i],)
-                        + key[e + j + 1 :]
-                    )
+        for codes, value in out.items():
+            for v in closing:
+                code = codes[v]
+                if ord(code) >= q:
+                    codes = codes[:v] + "\0" + codes[v + 1 :]
+                    continue
+                # v roots its block
+                mark = chr(q + v)
+                r = codes.find(mark)
+                if r >= 0:  # the block goes on, rooted at its least open vertex r
+                    codes = codes.replace(mark, chr(q + r))
+                    codes = codes[:v] + "\0" + codes[v + 1 : r] + code + codes[r + 1 :]
+                elif code != "\0":
+                    break  # the block closes with a nonzero b-sum
                 else:
-                    if key[i] == i:  # the block closes
-                        if key[e + i]:
-                            break  # with a nonzero b-sum
-                        value <<= w
-                    key = (
-                        key[:i]
-                        + tuple([x - (x > i) for x in key[i + 1 : e]])
-                        + key[e : e + i]
-                        + key[e + i + 1 :]
-                    )
-                e -= 1
+                    value <<= w
             else:
-                states[key] = states.get(key, 0) + value
-    total = sum(states.values())
+                states[codes] = states.get(codes, 0) + value
+    total = sum(states.values()) << w * (n - closed)
     for _ in range(loops):
         total = (total << w) - total
-    return IntPolynomial(_unpack(total, w)[g.vertex_count :])
+    return IntPolynomial(_unpack(total, w)[n:])
 
 
 def _unpack(packed: int, w: int) -> tuple[int, ...]:
@@ -339,79 +291,6 @@ def _unpack(packed: int, w: int) -> tuple[int, ...]:
         digits.append(digit)
         packed = (packed - digit) >> w
     return tuple(digits)
-
-
-# (root, f, p, q, new, bundle, gone); see _frontier_plan.
-_Step = tuple[int, int, int, int, int, int, tuple[int, ...]]
-
-
-@lru_cache(maxsize=4096)
-def _frontier_plan(g: MultiGraph) -> tuple[tuple[int, ...], int, tuple[_Step, ...]]:
-    """(vertices with no edge but loops, loop count, steps) for the subset sum.
-
-    Vertices enter in breadth-first order, each component from its least
-    vertex.  A vertex enters with its first edge to a vertex seen before it,
-    and its edges to earlier vertices follow, parallel edges as one bundle.
-    The frontier lists the entered vertices with edges still to come, in
-    order of entry.  A step (root, f, p, q, new, bundle, gone) reads: a
-    component starts with its vertex root >= 0 alone on the frontier; f is
-    then the frontier's length; the bundle of that many parallel edges joins
-    position p to position q, where the vertex new >= 0 enters when q = f;
-    afterwards the vertices at the positions in gone, listed in decreasing
-    order, leave the frontier.
-    """
-    n = g.vertex_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    loops = 0
-    for edge in g.edges:
-        x, y = edge.tail, edge.head
-        if x == y:
-            loops += 1
-        else:
-            adj[x].append(y)
-            adj[y].append(x)
-    left = [len(ends) for ends in adj]
-    seen = [False] * n
-    frontier: list[int] = []
-    steps: list[_Step] = []
-    for start in range(n):
-        if seen[start] or not adj[start]:
-            continue
-        seen[start] = True
-        root = start
-        queue = [start]
-        for x in queue:  # the loop also reads the vertices it appends
-            for v in adj[x]:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                queue.append(v)
-                bundles: dict[int, int] = {}
-                for u in adj[v]:
-                    if seen[u]:
-                        bundles[u] = bundles.get(u, 0) + 1
-                new = v
-                for u, bundle in bundles.items():
-                    if root >= 0:
-                        frontier.append(root)
-                    f = len(frontier)
-                    p = frontier.index(u)
-                    if new >= 0:
-                        q = f
-                        frontier.append(v)
-                    else:
-                        q = frontier.index(v)
-                    left[u] -= bundle
-                    left[v] -= bundle
-                    gone = ()
-                    if not left[u] or not left[v]:
-                        last = range(len(frontier) - 1, -1, -1)
-                        gone = tuple([i for i in last if not left[frontier[i]]])
-                        frontier = [y for y in frontier if left[y]]
-                    steps.append((root, f, p, q, new, bundle, gone))
-                    root = new = -1
-    isolated = tuple([v for v in range(n) if not adj[v]])
-    return isolated, loops, tuple(steps)
 
 
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
@@ -454,7 +333,7 @@ def poly_nbb(
     G - S stays compatible with b and S contains no compatible broken bond
     for the given edge order; the polynomial is sum (-1)^i a_i k^(m(G)-i).
 
-    The subsets are counted edge by edge, in the order of ``_nbb_plan``,
+    The subsets are counted edge by edge, in the order of ``_edge_plan``,
     over states instead of subsets.  The kept edges split the vertices into
     blocks, each rooted at its least open vertex (one with edges still to
     decide).  A state is a pair.  Its string has one character per vertex,
@@ -472,7 +351,7 @@ def poly_nbb(
     """
     _check_vertex_function(g, b)
     _guard_edges(g, max_edges)
-    edge_bit, loops, steps = _nbb_plan(g)
+    edge_bit, loops, steps = _edge_plan(g)
     # broken_bonds validates the order and requires g to be compatible with b.
     broken = [sum(map(edge_bit.__getitem__, bond)) for bond in broken_bonds(g, b, order)]
     top = cycle_rank(g)
@@ -553,13 +432,13 @@ def poly_nbb(
     return IntPolynomial.from_signless(counts, top)
 
 
-# (x, y, closing) per decided edge; see _nbb_plan.
+# (x, y, closing) per decided edge; see _edge_plan.
 _Decision = tuple[int, int, tuple[int, ...]]
 
 
 @lru_cache(maxsize=4096)
-def _nbb_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
-    """(2^rank for each non-loop edge id, loop count, steps) for ``poly_nbb``.
+def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
+    """(2^rank for each non-loop edge id, loop count, steps) for both routes.
 
     Vertices are discovered breadth first, each component from its least
     vertex, and a discovered vertex brings its edges to the vertices

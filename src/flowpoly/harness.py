@@ -16,7 +16,7 @@ class's polynomial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import assigning as asg
@@ -139,7 +139,6 @@ class _SignatureClass:
     representative: BFunction
     alpha: int  # the representative's assigning bits, see _alpha_bits
     members: int = 0
-    specs: list[GroupSpec] = field(default_factory=list)
 
 
 def _check_graph(
@@ -193,8 +192,6 @@ def _check_graph(
                 whole = merged[sigma] = _SignatureClass(b, cls.alpha)
                 polys[sigma] = asg.poly_subset_expansion(g, b)
             whole.members += 1
-            if spec not in whole.specs:
-                whole.specs.append(spec)
 
             poly = polys[sigma]
             brute = count_nz_flows_bruteforce(g, b, budget=budget)

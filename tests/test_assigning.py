@@ -236,7 +236,7 @@ def test_large_nonzero_boundary_algorithms_agree(g, b):
 
 
 # ---------------------------------------------------------------------------
-# The frontier program behind poly_subset_expansion, on shapes it treats apart.
+# The edge program behind poly_subset_expansion, on shapes it treats apart.
 
 # An isolated vertex (4), a vertex with only loops (3), a doubled edge as its
 # own component (5-6) and a triangle with a parallel edge and a loop.
@@ -244,15 +244,19 @@ SCATTERED = MultiGraph.from_pairs(
     7, [(5, 6), (3, 3), (0, 1), (2, 0), (3, 3), (1, 2), (6, 5), (1, 0), (2, 2)]
 )
 ONLY_LOOPS = MultiGraph.from_pairs(3, [(1, 1), (0, 0), (1, 1)])
-# K2,5 with vertex 0 on the 2 side: breadth first from 0, the frontier holds
-# all six other vertices at once.
+# K2,5 with vertex 0 on the 2 side: breadth first from 0, all six other
+# vertices are open at once.
 K25 = MultiGraph.from_pairs(7, [(v, a) for v in (4, 1, 5, 3, 2) for a in (6, 0)])
+# Runs of parallel edges, decided one edge at a time.
+PARALLEL = MultiGraph.from_pairs(4, [(0, 1)] * 4 + [(1, 2)] * 3 + [(2, 0), (2, 3), (3, 2)])
 
 
 @pytest.mark.parametrize(
-    "g", [SCATTERED, ONLY_LOOPS, K25], ids=["scattered", "only-loops", "K2,5"]
+    "g",
+    [SCATTERED, ONLY_LOOPS, K25, PARALLEL],
+    ids=["scattered", "only-loops", "K2,5", "parallel"],
 )
-def test_frontier_program_matches_definition(g):
+def test_subset_program_matches_definition(g):
     subsets = _literal_subsets(g)
     rng = random.Random(5)
     for spec in WIDE_GROUPS:
@@ -295,7 +299,7 @@ def test_subset_expansion_ignores_labels_and_edge_order():
 
 
 def test_w12_zero_boundary_closed_form():
-    # 24 edges: 2^24 subsets, but a frontier of a few vertices.
+    # 24 edges: 2^24 subsets, but few open vertices at a time.
     w12 = MultiGraph.from_pairs(
         13, [(i, (i + 1) % 12) for i in range(12)] + [(i, 12) for i in range(12)]
     )
@@ -632,8 +636,7 @@ def test_clear_caches_empties_every_cache():
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
-        assigning._frontier_plan,
-        assigning._nbb_plan,
+        assigning._edge_plan,
     )
     lambda_family(complete(4))
     bonds(complete(4))
