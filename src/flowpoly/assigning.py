@@ -36,8 +36,10 @@ from functools import lru_cache
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
 from .flows import (
+    DEFAULT_BUDGET,
     BFunction,
     _check_vertex_function,
+    _guard,
     count_nz_flows_bruteforce,
     enumerate_zero_sum,
     require_compatible,
@@ -46,7 +48,6 @@ from .flows import (
 from .graphs import EdgeSet, MultiGraph, bond_sides, cycle_rank, lambda_members
 from .polynomial import IntPolynomial
 
-DEFAULT_MAX_EDGES = 24
 _TABLE_MAX_EDGES = 10
 
 
@@ -190,15 +191,8 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     return bits
 
 
-def _guard_edges(g: MultiGraph, max_edges: int | None) -> None:
-    if max_edges is not None and g.edge_count > max_edges:
-        raise BudgetError(
-            f"graph has {g.edge_count} edges, above the subset-enumeration guard {max_edges}"
-        )
-
-
 def poly_subset_expansion(
-    g: MultiGraph, b: BFunction, *, max_edges: int | None = DEFAULT_MAX_EDGES
+    g: MultiGraph, b: BFunction, *, budget: int = DEFAULT_BUDGET
 ) -> IntPolynomial:
     """The counting polynomial via the compatible spanning-subgraph expansion.
 
@@ -222,17 +216,18 @@ def poly_subset_expansion(
     m(G - S) = kept + components - n, the final value is shifted down by n.
     Loops join no blocks, so each multiplies by k - 1.  Values are
     polynomials packed into one int, in balanced base-2^(m + 2) digits,
-    which hold every partial coefficient (at most 2^m in size).
+    which hold every partial coefficient (at most 2^m in size).  The work
+    is the states built, summed over the steps; BudgetError is raised once
+    that sum exceeds the budget.
     """
     _check_vertex_function(g, b)
-    _guard_edges(g, max_edges)
     require_compatible(g, b)
     _, loops, steps = _edge_plan(g)
     add, _ = index_tables(b.spec)
     q = b.spec.order
     n = g.vertex_count
     w = g.edge_count + 2
-    closed = 0
+    closed = work = 0
     # Before its first edge every vertex is a block of its own.
     states = {"".join(map(chr, b.indices)): 1}
     for x, y, closing in steps:
@@ -251,6 +246,8 @@ def poly_subset_expansion(
                 joined = chr(add[ord(codes[a])][ord(codes[c])])
                 codes = codes[:a] + joined + codes[a + 1 : c] + chr(q + a) + codes[c + 1 :]
             out[codes] = get(codes, 0) + (value << w)
+        work += len(out)
+        _guard(work, budget, "plan states")
         if not closing:
             states = out
             continue
@@ -325,7 +322,7 @@ def poly_nbb(
     b: BFunction,
     order: EdgeOrder | None = None,
     *,
-    max_edges: int | None = DEFAULT_MAX_EDGES,
+    budget: int = DEFAULT_BUDGET,
 ) -> IntPolynomial:
     """The counting polynomial via broken-bond-free subset counting.
 
@@ -347,10 +344,11 @@ def poly_nbb(
     drops the state.  A value counts the subsets reaching its state by |S|,
     packed into one int in base-2^(m + 2) digits, so deleting an edge shifts
     it one digit up.  Loops lie in no bond and change no block, so each
-    doubles the count: S holds it or not.
+    doubles the count: S holds it or not.  The budget caps the states built,
+    summed over the steps, as in ``poly_subset_expansion``; the bond sides
+    walked for the broken bonds are not counted.
     """
     _check_vertex_function(g, b)
-    _guard_edges(g, max_edges)
     edge_bit, loops, steps = _edge_plan(g)
     # broken_bonds validates the order and requires g to be compatible with b.
     broken = [sum(map(edge_bit.__getitem__, bond)) for bond in broken_bonds(g, b, order)]
@@ -374,6 +372,7 @@ def poly_nbb(
     add, _ = index_tables(b.spec)
     q = b.spec.order
     w = g.edge_count + 2
+    work = 0
     # Before its first edge every vertex is a block of its own.
     states = {("".join(map(chr, b.indices)), 0): 1}
     for (x, y, closing), first, last, within in zip(steps, start, end, inside):
@@ -395,6 +394,8 @@ def poly_nbb(
                 codes = codes[:a] + joined + codes[a + 1 : c] + chr(q + a) + codes[c + 1 :]
             key = (codes, live & ~within)
             out[key] = get(key, 0) + value
+        work += len(out)
+        _guard(work, budget, "plan states")
         if not closing:
             states = out
             continue
@@ -500,8 +501,6 @@ def compare_coefficients(
     g: MultiGraph,
     b: BFunction,
     b2: BFunction,
-    *,
-    max_edges: int | None = DEFAULT_MAX_EDGES,
 ) -> CoefficientComparison:
     """Compare the signless coefficient vectors induced by b and b2.
 
@@ -515,8 +514,8 @@ def compare_coefficients(
     alpha1 = induced_assigning(g, b)
     alpha2 = induced_assigning(g, b2)
     top = cycle_rank(g)
-    signless1 = poly_subset_expansion(g, b, max_edges=max_edges).signless_coefficients(top)
-    signless2 = poly_subset_expansion(g, b2, max_edges=max_edges).signless_coefficients(top)
+    signless1 = poly_subset_expansion(g, b).signless_coefficients(top)
+    signless2 = poly_subset_expansion(g, b2).signless_coefficients(top)
     return CoefficientComparison(
         pointwise_le=alpha1.pointwise_le(alpha2),
         signless_first=signless1,
@@ -529,20 +528,20 @@ def is_A_connected(
     g: MultiGraph,
     spec: GroupSpec,
     *,
-    budget: int = 10**8,
-    max_edges: int | None = DEFAULT_MAX_EDGES,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[bool, BFunction | None]:
     """Whether every locally zero-sum b admits a nowhere-zero flow.
 
     Counts via the subset-expansion polynomial evaluated at |A| and
     cross-checks each count against the brute-force oracle; on failure the
-    witness b with count zero is returned.  The budget caps both the
-    brute-force enumeration and the |A|^(n-c) boundary functions tried.
+    witness b with count zero is returned.  The budget caps the |A|^(n-c)
+    boundary functions tried and, for each of them, the brute-force
+    enumeration and the plan states of the subset expansion.
     """
     if spec.order < 2:
         raise InputError("connectivity needs a group of order >= 2")
     for b in enumerate_zero_sum(g, spec, budget=budget):
-        via_poly = poly_subset_expansion(g, b, max_edges=max_edges).eval(spec.order)
+        via_poly = poly_subset_expansion(g, b, budget=budget).eval(spec.order)
         via_brute = count_nz_flows_bruteforce(g, b, budget=budget)
         if via_poly != via_brute:
             raise ConsistencyError(

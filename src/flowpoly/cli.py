@@ -41,9 +41,6 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
-SUBSET_GUARD = asg.DEFAULT_MAX_EDGES
-LAMBDA_GUARD = 20
-
 
 # ---------------------------------------------------------------------------
 # Document formats.
@@ -149,19 +146,6 @@ def _parse_order(args, g: MultiGraph) -> asg.EdgeOrder | None:
     return order
 
 
-def _subset_guard(args, g: MultiGraph) -> int | None:
-    if not args.force and g.edge_count > SUBSET_GUARD:
-        raise BudgetError(
-            f"graph has {g.edge_count} edges, above the default guard {SUBSET_GUARD}; "
-            "pass --force to enumerate anyway"
-        )
-    if 1 << g.edge_count > args.budget:
-        raise BudgetError(
-            f"enumeration of 2^{g.edge_count} edge subsets exceeds budget {args.budget}"
-        )
-    return None if args.force else SUBSET_GUARD
-
-
 def _vertex_subset_budget(args, g: MultiGraph) -> None:
     """The lambda family and the bond sides walk up to 2^n vertex subsets."""
     if 1 << g.vertex_count > args.budget:
@@ -182,7 +166,8 @@ def cmd_poly(args) -> tuple[dict, int]:
     g = _load_graph(args)
     spec = parse_group(args.group)
     b = _load_b(args, g, spec)
-    guard = _subset_guard(args, g)
+    if args.algorithm != "subset":
+        _vertex_subset_budget(args, g)  # poly_nbb walks the bond sides
     order = _parse_order(args, g)
     require_compatible(g, b)
 
@@ -196,13 +181,13 @@ def cmd_poly(args) -> tuple[dict, int]:
     }
     code = EXIT_OK
     if args.algorithm in ("subset", "both"):
-        poly = asg.poly_subset_expansion(g, b, max_edges=guard)
+        poly = asg.poly_subset_expansion(g, b, budget=args.budget)
     else:
-        poly = asg.poly_nbb(g, b, order, max_edges=guard)
+        poly = asg.poly_nbb(g, b, order, budget=args.budget)
     report["polynomial"] = poly.format()
     report["coefficients_signless"] = list(poly.signless_coefficients(cycle_rank(g)))
     if args.algorithm == "both":
-        other = asg.poly_nbb(g, b, order, max_edges=guard)
+        other = asg.poly_nbb(g, b, order, budget=args.budget)
         agree = other == poly
         report["agree"] = agree
         if not agree:
@@ -223,10 +208,9 @@ def cmd_flows(args) -> tuple[dict, int]:
         "mG": cycle_rank(g),
     }
     if args.nowhere_zero:
-        guard = _subset_guard(args, g)
         require_compatible(g, b)
         brute = count_nz_flows_bruteforce(g, b, budget=args.budget)
-        poly_value = asg.poly_subset_expansion(g, b, max_edges=guard).eval(spec.order)
+        poly_value = asg.poly_subset_expansion(g, b, budget=args.budget).eval(spec.order)
         report["counts"] = {"bruteforce": brute, "polynomial": poly_value}
         agree = brute == poly_value
     else:
@@ -262,11 +246,6 @@ def cmd_bonds(args) -> tuple[dict, int]:
 
 def cmd_lambda(args) -> tuple[dict, int]:
     g = _load_graph(args)
-    if not args.force and g.vertex_count > LAMBDA_GUARD:
-        raise BudgetError(
-            f"graph has {g.vertex_count} vertices, above the guard {LAMBDA_GUARD}; "
-            "pass --force to enumerate anyway"
-        )
     _vertex_subset_budget(args, g)
     family = lambda_family(g)
     report = {
@@ -287,10 +266,9 @@ def cmd_lambda(args) -> tuple[dict, int]:
 def cmd_connectivity(args) -> tuple[dict, int]:
     g = _load_graph(args)
     spec = parse_group(args.group)
-    guard = _subset_guard(args, g)
     if args.compare is not None:
         _vertex_subset_budget(args, g)  # induced_assigning walks the lambda family
-    connected, witness = asg.is_A_connected(g, spec, budget=args.budget, max_edges=guard)
+    connected, witness = asg.is_A_connected(g, spec, budget=args.budget)
     report = {
         "command": "connectivity",
         "group": str(spec),
@@ -304,7 +282,7 @@ def cmd_connectivity(args) -> tuple[dict, int]:
             raise ParseError(
                 f"comparison group {other} must share the order of {spec}"
             )
-        other_connected, _ = asg.is_A_connected(g, other, budget=args.budget, max_edges=guard)
+        other_connected, _ = asg.is_A_connected(g, other, budget=args.budget)
         alphas = {
             asg.induced_assigning(g, b)
             for b in enumerate_zero_sum(g, spec, budget=args.budget)
@@ -402,13 +380,9 @@ def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max brute-force enumeration steps and enumerated subsets",
+        help="max edge functions, zero-sum boundary functions, vertex subsets "
+        "and summed plan states that one enumeration may visit",
     )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--force", action="store_true", help="lift the size guards")
-    _add_budget_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset expansion, broken-bond counting, or both with a cross-check",
     )
     p.add_argument("--order", help="edge order as comma-separated edge ids, least first")
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("flows", help="count flows by brute force and cross-check")
@@ -442,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count nowhere-zero flows (default counts all flows)",
     )
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_flows)
 
     p = sub.add_parser("bonds", help="list bonds, optionally with compatibility data")
@@ -450,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     _add_b_args(p)
     p.add_argument("--order")
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_bonds)
 
     p = sub.add_parser("lambda", help="list the lambda family, optionally with assigning bits")
     _add_graph_arg(p)
     p.add_argument("--group")
     _add_b_args(p)
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("check", help="run the verification suites over a catalog")
@@ -477,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--group", required=True)
     p.add_argument("--compare", help="second group of the same order to compare")
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_connectivity)
 
     p = sub.add_parser("decompose", help="check the flow-count decomposition identities")
     _add_graph_arg(p)
     p.add_argument("--group", required=True)
-    _add_common_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_decompose)
 
     return parser

@@ -187,11 +187,9 @@ def _check_graph(
             if cls is None:
                 cls = classes[sigma] = _SignatureClass(b, _alpha_bits(g, b))
             cls.members += 1
-            whole = merged.get(sigma)
-            if whole is None:  # so cls is new too, with b as representative
-                whole = merged[sigma] = _SignatureClass(b, cls.alpha)
+            if sigma not in merged:  # so cls is new too, with b as representative
+                merged[sigma] = _SignatureClass(b, cls.alpha)
                 polys[sigma] = asg.poly_subset_expansion(g, b)
-            whole.members += 1
 
             poly = polys[sigma]
             brute = count_nz_flows_bruteforce(g, b, budget=budget)

@@ -110,10 +110,15 @@ def test_subset_expansion_rejects_incompatible():
     assert "component" in str(exc.value)
 
 
-def test_subset_expansion_edge_guard():
-    g = MultiGraph.from_pairs(2, [(0, 1)] * 5)
-    with pytest.raises(BudgetError):
-        poly_subset_expansion(g, BFunction.zero(Z2, 2), max_edges=4)
+def test_plan_states_guard_both_routes():
+    # Both routes count the states they build, not the 2^28 edge subsets.
+    g = complete(8)
+    b = BFunction.zero(Z3, 8)
+    with pytest.raises(BudgetError, match="plan states"):
+        poly_subset_expansion(g, b, budget=1000)
+    with pytest.raises(BudgetError, match="plan states"):
+        poly_nbb(g, b, budget=1000)
+    assert poly_subset_expansion(g, b) == poly_nbb(g, b)
 
 
 def _literal_subsets(g: MultiGraph) -> list[tuple[MultiGraph, int, int]]:

@@ -52,7 +52,7 @@ def k2_file(tmp_path):
 
 @pytest.fixture
 def k8_file(tmp_path):
-    """K8: 28 edges, so 2^28 edge subsets, above the default guard of 24."""
+    """K8: 28 edges, whose subset expansion builds about 8000 plan states."""
     target = tmp_path / "k8.graph"
     pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
     target.write_text(f"8 {len(pairs)}\n" + "".join(f"{i} {j}\n" for i, j in pairs))
@@ -173,9 +173,9 @@ def test_poly_incompatible_b_exits_domain(capsys, k2_file, tmp_path):
     assert "component" in err
 
 
-def test_poly_force_honours_budget(capsys, k8_file):
+def test_poly_k8_honours_budget(capsys, k8_file):
     code, report, err = run_cli(
-        capsys, "poly", k8_file, "--group", "Z3", "--force", "--budget", "1000"
+        capsys, "poly", k8_file, "--group", "Z3", "--budget", "1000"
     )
     assert code == EXIT_RESOURCE
     assert report is None
@@ -216,14 +216,60 @@ def test_poly_nbb_w12_closed_form(capsys, tmp_path):
     assert report["polynomial"] == W12_CLOSED_FORM
 
 
-def test_poly_25_edges_needs_force(capsys, tmp_path):
+def test_poly_w12_hub_loop_needs_no_flag(capsys, tmp_path):
     graph = _wheel_file(tmp_path, 12, extra=1)
-    code, report, err = run_cli(
+    code, report, _ = run_cli(
         capsys, "poly", graph, "--group", "Z3", "--algorithm", "subset"
+    )
+    assert code == 0
+    assert report["m"] == 25
+    # W12_CLOSED_FORM times k - 1, the factor of the loop
+    assert report["polynomial"] == (
+        "k^13 - 25k^12 + 288k^11 - 2024k^10 + 9680k^9 - 33264k^8 + 84480k^7"
+        " - 160512k^6 + 228096k^5 - 239360k^4 + 180224k^3 - 92159k^2 + 28669k - 4094"
+    )
+
+
+def test_poly_k8_both_routes_agree(capsys, k8_file):
+    code, report, _ = run_cli(
+        capsys, "poly", k8_file, "--group", "Z3", "--algorithm", "both"
+    )
+    assert code == 0
+    assert report["agree"] is True
+
+
+def _grid_file(tmp_path, side: int) -> str:
+    """The side x side grid, vertex r * side + c at row r and column c."""
+    pairs = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    pairs += [(v, v + side) for v in range(side * (side - 1))]
+    target = tmp_path / f"grid{side}.graph"
+    target.write_text(
+        f"{side * side} {len(pairs)}\n" + "".join(f"{t} {h}\n" for t, h in pairs)
+    )
+    return str(target)
+
+
+def test_poly_grid6_subset_runs_and_nbb_walks_vertex_subsets(capsys, tmp_path):
+    graph = _grid_file(tmp_path, 6)
+    code, report, _ = run_cli(capsys, "poly", graph, "--group", "Z2", "--algorithm", "subset")
+    assert code == 0
+    assert report["mG"] == 25
+    # broken-bond counting walks the bond sides, 2^36 vertex subsets
+    code, report, err = run_cli(capsys, "poly", graph, "--group", "Z2", "--algorithm", "both")
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "2^36 vertex subsets" in err
+
+
+def test_poly_nbb_honours_vertex_subset_budget(capsys, tmp_path):
+    graph = tmp_path / "path30.graph"
+    graph.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(29)))
+    code, report, err = run_cli(
+        capsys, "poly", str(graph), "--group", "Z2", "--algorithm", "nbb", "--budget", "1000"
     )
     assert code == EXIT_RESOURCE
     assert report is None
-    assert "25 edges" in err
+    assert "2^30 vertex subsets" in err
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +309,10 @@ def test_flows_budget_exit(capsys, c3_file):
     assert "budget" in err
 
 
-def test_flows_nowhere_zero_force_honours_budget(capsys, k8_file):
-    # Over Z2 the brute-force guard sees (|A| - 1)^m = 1 step; the 2^m subsets remain.
+def test_flows_nowhere_zero_k8_honours_budget(capsys, k8_file):
+    # Over Z2 the brute-force guard sees (|A| - 1)^m = 1 step; the plan states remain.
     code, report, err = run_cli(
-        capsys, "flows", k8_file, "--group", "Z2", "--nowhere-zero",
-        "--force", "--budget", "1000",
+        capsys, "flows", k8_file, "--group", "Z2", "--nowhere-zero", "--budget", "1000"
     )
     assert code == EXIT_RESOURCE
     assert report is None
@@ -298,10 +343,10 @@ def test_lambda_triangle(capsys, c3_file):
     assert report["alpha"] == [0] * 6
 
 
-def test_lambda_force_honours_budget(capsys, tmp_path):
+def test_lambda_path30_honours_budget(capsys, tmp_path):
     graph = tmp_path / "path30.graph"
     graph.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(29)))
-    code, _, err = run_cli(capsys, "lambda", str(graph), "--force", "--budget", "1000")
+    code, _, err = run_cli(capsys, "lambda", str(graph), "--budget", "1000")
     assert code == EXIT_RESOURCE
     assert "resource guard" in err
 
@@ -360,9 +405,9 @@ def test_connectivity_compare_rejects_order_mismatch(capsys, c3_file):
     assert "order" in err
 
 
-def test_connectivity_force_honours_budget(capsys, k8_file):
+def test_connectivity_k8_honours_budget(capsys, k8_file):
     code, report, err = run_cli(
-        capsys, "connectivity", k8_file, "--group", "Z2", "--force", "--budget", "1000"
+        capsys, "connectivity", k8_file, "--group", "Z2", "--budget", "1000"
     )
     assert code == EXIT_RESOURCE
     assert report is None
@@ -370,7 +415,7 @@ def test_connectivity_force_honours_budget(capsys, k8_file):
 
 
 def test_connectivity_compare_honours_budget(capsys, tmp_path):
-    # No edges, so one zero-sum b and 2^0 edge subsets; the lambda family
+    # No edges, so one zero-sum b and no plan states; the lambda family
     # walked for --compare is 2^25 vertex subsets.
     graph = tmp_path / "isolated25.graph"
     graph.write_text("25 0\n")
@@ -384,8 +429,8 @@ def test_connectivity_compare_honours_budget(capsys, tmp_path):
 
 
 def test_connectivity_budget_caps_boundary_functions(capsys, tmp_path):
-    # A 20-cycle over Z3: 2^20 edge subsets and edge functions fit the
-    # default budget, the 3^19 zero-sum boundary functions do not.
+    # A 20-cycle over Z3: its 2^20 edge functions fit the default budget,
+    # the 3^19 zero-sum boundary functions do not.
     graph = tmp_path / "c20.graph"
     graph.write_text("20 20\n" + "".join(f"{i} {(i + 1) % 20}\n" for i in range(20)))
     code, report, err = run_cli(capsys, "connectivity", str(graph), "--group", "Z3")
@@ -453,6 +498,16 @@ def test_check_honours_budget(capsys):
 def test_check_has_no_force_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--force"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["poly", "flows", "bonds", "lambda", "connectivity", "decompose"]
+)
+def test_graph_subcommands_have_no_force_flag(capsys, c3_file, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, c3_file, "--group", "Z3", "--force"])
     assert exc.value.code == EXIT_PARSE
     assert "--force" in capsys.readouterr().err
 
