@@ -20,11 +20,13 @@ no other code.
   broken bonds come from the graph's cached bond sides and one vertex sum
   each.
 
-Whether G - S is compatible with b depends only on the connected partition
-of G - S.  The verification harness groups the boundary functions of a
-graph of at most 10 edges by that dependence: ``_structure`` tabulates the
-partition of G - S for every subset S, and ``compat_signature`` records
-which partitions b makes compatible.  No polynomial route reads the table.
+Both polynomials depend on b only through its assigning α, which
+``alpha_bits`` packs into an int; the verification harness keys its
+classes of boundary functions by it.  Whether G - S is compatible with b
+depends only on the connected partition of G - S: for graphs of at most 10
+edges, ``_structure`` tabulates that partition for every subset S and
+``compat_signature`` records which partitions b makes compatible.  Only
+the harness's per-subset lemma suites read the table.
 """
 
 from __future__ import annotations
@@ -103,14 +105,29 @@ class EdgeOrder:
 def induced_assigning(g: MultiGraph, b: BFunction) -> Assigning:
     """The assigning of b: a member X gets 0 exactly when b sums to zero on X."""
     _check_vertex_function(g, b)
-    entries = tuple(
-        (member, 1 if vertex_sum(b, member) else 0) for member in lambda_members(g)
+    bits = alpha_bits(g, b)
+    return Assigning(
+        tuple((member, bits >> i & 1) for i, member in enumerate(lambda_members(g)))
     )
-    return Assigning(entries)
+
+
+def alpha_bits(g: MultiGraph, b: BFunction) -> int:
+    """The assigning of b as an int: bit i is set when b sums to nonzero on
+    the i-th member of ``lambda_members(g)``.  b must have g's vertex count."""
+    add, _ = index_tables(b.spec)
+    idx = b.indices
+    bits = 0
+    for i, member in enumerate(lambda_members(g)):
+        total = 0
+        for v in member:
+            total = add[total][idx[v]]
+        if total:
+            bits |= 1 << i
+    return bits
 
 
 # ---------------------------------------------------------------------------
-# Per-subset partition tables, the harness's signature classes.
+# Per-subset partition tables, for the harness's lemma suites.
 
 
 @dataclass(frozen=True)
@@ -123,12 +140,12 @@ class _SubsetStructure:
 def _structure(g: MultiGraph) -> _SubsetStructure:
     """The partition of G - S for every mask S (bit i is the edge at position i).
 
-    Read by the verification harness, for its signature classes and its
-    per-subset lemma suites.  The walk needs no union-find: it carries each
-    partition as a tuple of least-vertex block labels, and a kept edge
-    between two blocks relabels the higher label to the lower.  Edges are
-    decided from the last position down, keep before delete, so leaves
-    arrive in increasing mask order.  Ids follow first occurrence.
+    Read by the verification harness, for its per-subset lemma suites.  The
+    walk needs no union-find: it carries each partition as a tuple of
+    least-vertex block labels, and a kept edge between two blocks relabels
+    the higher label to the lower.  Edges are decided from the last position
+    down, keep before delete, so leaves arrive in increasing mask order.  Ids
+    follow first occurrence.
     """
     n, m = g.vertex_count, g.edge_count
     pairs = g.pairs()
@@ -166,11 +183,11 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     """Bitmask recording which subset partitions of g are compatible with b.
 
     Bit j is set when every block of the j-th partition (as enumerated by the
-    cached subset table) sums to zero under b.  The polynomial algorithms
-    depend on b only through this value, so the verification harness keys
-    its classes of boundary functions by it and reads per-mask
-    compatibility from it.  Only available while the subset table fits
-    (edge count at most 10).
+    cached subset table) sums to zero under b.  It and ``alpha_bits``
+    determine each other on one graph.  The verification harness reads
+    per-mask compatibility from it, once per assigning class, and does not
+    key by it.  Only available while the subset table fits (edge count at
+    most 10).
     """
     if g.edge_count > _TABLE_MAX_EDGES:
         raise BudgetError("compat signatures need the per-subset table (at most 10 edges)")

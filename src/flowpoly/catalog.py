@@ -44,10 +44,6 @@ def path(vertex_count: int) -> MultiGraph:
     return MultiGraph.from_pairs(vertex_count, [(i, i + 1) for i in range(vertex_count - 1)])
 
 
-def loop_graph(loop_count: int = 1) -> MultiGraph:
-    return MultiGraph.from_pairs(1, [(0, 0)] * loop_count)
-
-
 def bridged_triangles() -> MultiGraph:
     """Two triangles joined by a single bridge edge."""
     return MultiGraph.from_pairs(

@@ -338,6 +338,8 @@ def cmd_check(args) -> tuple[dict, int]:
             if k * (k - 1) // 2 <= args.max_m
         ]
     else:
+        if args.max_n < 1 or args.max_m < 0:
+            raise ParseError("the random catalog needs --max-n >= 1 and --max-m >= 0")
         graphs = random_catalog(args.seed, 40, args.max_n, args.max_m)
     report_data = run_verification(graphs, specs, seed=args.seed, budget=args.budget)
     suites = [suite.as_dict() for suite in report_data.suites.values()]

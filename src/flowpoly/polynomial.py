@@ -36,12 +36,6 @@ class IntPolynomial:
         return cls((value,))
 
     @classmethod
-    def monomial(cls, coefficient: int, power: int) -> "IntPolynomial":
-        if power < 0:
-            raise InputError("power must be >= 0")
-        return cls((0,) * power + (coefficient,))
-
-    @classmethod
     def from_signless(cls, signless: Sequence[int], top_degree: int) -> "IntPolynomial":
         """Rebuild sum_i (-1)^i a_i k^(top_degree - i) from (a_0, ..., a_top)."""
         if len(signless) != top_degree + 1:

@@ -512,6 +512,31 @@ def test_graph_subcommands_have_no_force_flag(capsys, c3_file, subcommand):
     assert "--force" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", [["--max-n", "0"], ["--max-m", "-1"]])
+def test_check_random_rejects_empty_size_bounds(capsys, bound):
+    code, report, err = run_cli(capsys, "check", "--catalog", "random", *bound)
+    assert code == EXIT_PARSE
+    assert report is None
+    assert "--max-n >= 1 and --max-m >= 0" in err
+
+
+def test_check_rejects_trivial_group(capsys):
+    code, report, err = run_cli(capsys, "check", "--groups", "Z1", "--max-n", "1")
+    assert code == EXIT_PARSE
+    assert report is None
+    assert "order >= 2" in err
+
+
+def test_check_random_graphs_above_ten_edges(capsys):
+    code, report, _ = run_cli(
+        capsys, "check", "--catalog", "random", "--max-n", "5", "--max-m", "12"
+    )
+    assert code == 0
+    suites = {suite["name"]: suite for suite in report["suites"]}
+    assert suites["inclusion_lemma"]["skipped"] > 0
+    assert suites["broken_bond_pairing"]["skipped"] > 0
+
+
 def test_check_is_byte_deterministic(capsys):
     args = ["check", "--catalog", "random", "--seed", "9", "--max-n", "3", "--max-m", "4"]
     code1 = main(args)

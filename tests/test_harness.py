@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from flowpoly.abelian import parse_group
+from flowpoly.errors import ConsistencyError
+from flowpoly.graphs import MultiGraph
 from flowpoly.harness import (
     SUITE_NAMES,
     default_groups,
@@ -86,3 +90,41 @@ def test_report_serialization():
     assert payload["name"] == "oracle_equivalence"
     assert payload["failures"] == 0
     assert payload["checked"] == 4  # the four zero-sum functions over Z2
+
+
+def test_one_assigning_two_polynomials_raises(monkeypatch):
+    # Adding k - 4 over Z2xZ2 keeps every value at |A| = 4, so only the
+    # cross-group comparison of one assigning's polynomials can see it.
+    import flowpoly.harness as harness
+
+    real = harness.asg.poly_subset_expansion
+    klein = parse_group("Z2xZ2")
+
+    def corrupted(g, b, **kwargs):
+        poly = real(g, b, **kwargs)
+        if b.spec != klein:
+            return poly
+        coeffs = list(poly.coefficients) + [0] * (2 - len(poly.coefficients))
+        coeffs[0] -= 4
+        coeffs[1] += 1
+        return IntPolynomial(tuple(coeffs))
+
+    monkeypatch.setattr(harness.asg, "poly_subset_expansion", corrupted)
+    specs = (parse_group("Z4"), klein)
+    with pytest.raises(ConsistencyError, match="one assigning produced two polynomials"):
+        run_verification([triangle()], specs, seed=0)
+
+
+def test_lemma_suites_skip_graphs_above_the_subset_table():
+    g = MultiGraph.from_pairs(3, [(0, 1)] * 4 + [(1, 2)] * 4 + [(2, 0)] * 3)
+    assert g.edge_count == 11
+    report = run_verification([g], (parse_group("Z2"), parse_group("Z3")), seed=0)
+    assert report.passed
+    assert (report["inclusion_lemma"].checked, report["inclusion_lemma"].skipped) == (0, 5)
+    pairing = report["broken_bond_pairing"]
+    assert (pairing.checked, pairing.skipped) == (0, 15)
+    # Z2 and Z3 differ in order, so group_invariance has no pair to compare.
+    assert report["group_invariance"].checked == 0
+    for name in SUITE_NAMES:
+        if name not in ("inclusion_lemma", "broken_bond_pairing", "group_invariance"):
+            assert report[name].checked > 0, name
