@@ -1,9 +1,10 @@
 """Vertex and edge functions over a group, boundaries, and brute-force counting.
 
 The counting functions here are the definitional oracles of the package:
-they enumerate edge functions exhaustively and tally boundaries.  One full
-enumeration per (graph, group) is cached as a boundary histogram, so
-repeated per-b queries against the same graph cost a dictionary lookup.
+they tally the boundaries of all edge functions, one edge at a time, as a
+count per partial boundary.  One tally per (graph, group) is cached as a
+boundary histogram, so repeated per-b queries against the same graph cost
+a dictionary lookup.
 
 Residues are validated once, where a BFunction or EdgeFunction is built
 from outside input.  A BFunction also carries its values as element
@@ -199,39 +200,32 @@ def _boundary_histogram(
     """Tally of boundaries over all edge functions (nonzero-valued if asked),
     keyed by per-vertex element-index tuples, the form of BFunction.indices.
 
-    Loops never move the boundary, so they contribute a constant weight of
-    (#values)^loops per leaf instead of explicit branches.  The children of
-    the last non-loop edge are tallied in place, not called.
+    One pass over the non-loop edges carries a dict from partial boundaries
+    to the number of edge functions on the edges so far that reach them;
+    each allowed value a adds a at the edge's head and -a at its tail.
+    Loops never move the boundary, so they enter as one starting weight of
+    (#values)^loops.
     """
     add, neg = index_tables(spec)
-    order = spec.order
-    values = [(a, neg[a]) for a in range(1 if nowhere_zero else 0, order)]
+    values = [(a, neg[a]) for a in range(1 if nowhere_zero else 0, spec.order)]
     loops = sum(1 for e in g.edges if e.is_loop)
-    nonloop = [(e.tail, e.head) for e in g.edges if not e.is_loop]
     weight = len(values) ** loops
-    counts: dict[tuple[int, ...], int] = {}
-    state = [0] * g.vertex_count
-    last = len(nonloop) - 1
-
-    def descend(i: int) -> None:
-        t, h = nonloop[i]
-        old_t, old_h = state[t], state[h]
-        row_t, row_h = add[old_t], add[old_h]
-        for a, minus_a in values:
-            state[h] = row_h[a]
-            state[t] = row_t[minus_a]
-            if i == last:
-                key = tuple(state)
-                counts[key] = counts.get(key, 0) + weight
-            else:
-                descend(i + 1)
-        state[t], state[h] = old_t, old_h
-
-    if weight:
-        if nonloop:
-            descend(0)
-        else:
-            counts[tuple(state)] = weight
+    counts = {(0,) * g.vertex_count: weight} if weight else {}
+    for e in g.edges:
+        if e.is_loop:
+            continue
+        t, h = e.tail, e.head
+        step: dict[tuple[int, ...], int] = {}
+        while counts:  # popping frees each key once it is extended
+            key, count = counts.popitem()
+            row_t, row_h = add[key[t]], add[key[h]]
+            state = list(key)
+            for a, minus_a in values:
+                state[h] = row_h[a]
+                state[t] = row_t[minus_a]
+                new = tuple(state)
+                step[new] = step.get(new, 0) + count
+        counts = step
     return counts
 
 
@@ -263,7 +257,8 @@ def nz_flow_boundary_counts(
 
 
 def count_nz_flows_bruteforce(g: MultiGraph, b: BFunction, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of nowhere-zero (A, b)-flows by exhaustive enumeration."""
+    """Exact number of nowhere-zero (A, b)-flows, read from the boundary
+    histogram of all nowhere-zero edge functions."""
     _check_vertex_function(g, b)
     return nz_flow_index_counts(g, b.spec, budget=budget).get(b.indices, 0)
 

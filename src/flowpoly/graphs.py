@@ -201,22 +201,26 @@ def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
             continue
         members = sorted(comp)
         whole = sum(1 << v for v in members)
-        # Every side holds the anchor, the least member.  The sides over the
-        # next 12 members are listed by doubling a list; the members beyond
-        # them are counted through, so the list stays at 4096 masks.
-        low = [1 << members[0]]
-        for v in members[1:13]:
-            low += [side | 1 << v for side in low]
-        high = members[13:]
-        for bits in range(1 << len(high)):
-            extra = sum([1 << v for i, v in enumerate(high) if bits >> i & 1])
-            for side in low:
-                side |= extra
-                if side != whole and connected(side) and connected(whole ^ side):
-                    cut = frozenset(
-                        [edge_id for edge_id, t, h in crossing if (side >> t ^ side >> h) & 1]
-                    )
-                    found.append((cut, frozenset([v for v in members if side >> v & 1])))
+        # Grow the connected sides that hold the anchor, the least member.
+        # An entry is a side, the neighbours it may still take and the
+        # vertices it may not take.  The branch that takes one neighbour may
+        # not take those of the branches before it, so each side comes once.
+        stack = [(1 << members[0], near[members[0]], 0)]
+        while stack:
+            side, ext, banned = stack.pop()
+            if side != whole and connected(whole ^ side):
+                cut = frozenset(
+                    [edge_id for edge_id, t, h in crossing if (side >> t ^ side >> h) & 1]
+                )
+                found.append((cut, frozenset([v for v in members if side >> v & 1])))
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                grown = side | low
+                stack.append(
+                    (grown, ext | near[low.bit_length() - 1] & ~grown & ~banned, banned)
+                )
+                banned |= low
     return tuple(sorted(found, key=lambda pair: sorted(pair[0])))
 
 

@@ -254,7 +254,7 @@ def test_poly_grid6_subset_runs_and_nbb_walks_vertex_subsets(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "poly", graph, "--group", "Z2", "--algorithm", "subset")
     assert code == 0
     assert report["mG"] == 25
-    # broken-bond counting walks the bond sides, 2^36 vertex subsets
+    # the bond sides broken-bond counting walks are bounded by 2^36 vertex subsets
     code, report, err = run_cli(capsys, "poly", graph, "--group", "Z2", "--algorithm", "both")
     assert code == EXIT_RESOURCE
     assert report is None
@@ -284,6 +284,15 @@ def test_flows_loop_nowhere_zero(capsys, tmp_path):
     )
     assert code == 0
     assert report["counts"] == {"bruteforce": 2, "polynomial": 2}
+    assert report["agree"] is True
+
+
+def test_flows_nowhere_zero_long_cycle(capsys, tmp_path):
+    target = tmp_path / "c1001.graph"
+    target.write_text("1001 1001\n" + "".join(f"{i} {(i + 1) % 1001}\n" for i in range(1001)))
+    code, report, _ = run_cli(capsys, "flows", str(target), "--group", "Z2", "--nowhere-zero")
+    assert code == 0
+    assert report["counts"] == {"bruteforce": 1, "polynomial": 1}
     assert report["agree"] is True
 
 
@@ -352,7 +361,7 @@ def test_lambda_path30_honours_budget(capsys, tmp_path):
 
 
 def test_bonds_honours_budget(capsys, tmp_path):
-    # The bond sides of a 30-vertex path are 2^29 vertex subsets.
+    # The check bounds the bond sides by 2^30 vertex subsets; a path has 29.
     graph = tmp_path / "path30.graph"
     graph.write_text("30 29\n" + "".join(f"{i} {i + 1}\n" for i in range(29)))
     code, report, err = run_cli(capsys, "bonds", str(graph), "--budget", "1000")
@@ -416,7 +425,7 @@ def test_connectivity_k8_honours_budget(capsys, k8_file):
 
 def test_connectivity_compare_honours_budget(capsys, tmp_path):
     # No edges, so one zero-sum b and no plan states; the lambda family
-    # walked for --compare is 2^25 vertex subsets.
+    # walked for --compare is bounded by 2^25 vertex subsets.
     graph = tmp_path / "isolated25.graph"
     graph.write_text("25 0\n")
     code, report, err = run_cli(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpoly.abelian import parse_group, residue_strides
+from flowpoly.catalog import cycle
 from flowpoly.errors import BudgetError, InputError
 from flowpoly.flows import (
     BFunction,
@@ -237,6 +239,37 @@ def test_histogram_matches_per_b_counts():
             assert sum(hist.values()) == (spec.order - 1) ** g.edge_count
             for b in enumerate_zero_sum(g, spec):
                 assert hist.get(b.values, 0) == count_nz_flows_bruteforce(g, b)
+
+
+# A loop and an antiparallel pair; two components, one with a loop; a
+# parallel pair beside an isolated vertex.
+DEFINITION_GRAPHS = (
+    MultiGraph.from_pairs(3, [(0, 0), (0, 1), (1, 0), (1, 2)]),
+    MultiGraph.from_pairs(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (3, 3)]),
+    MultiGraph.from_pairs(4, [(0, 1), (0, 1), (1, 2)]),
+)
+
+
+@pytest.mark.parametrize("g", DEFINITION_GRAPHS)
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z2xZ2", "Z5"])
+def test_histogram_matches_definition(g, name):
+    # Tally the boundary of every edge function, independently of the
+    # cached histogram that the oracles read.
+    spec = parse_group(name)
+    every: Counter = Counter()
+    nowhere_zero: Counter = Counter()
+    for values in itertools.product(spec.elements(), repeat=g.edge_count):
+        key = boundary(g, EdgeFunction(spec, values)).values
+        every[key] += 1
+        if spec.zero not in values:
+            nowhere_zero[key] += 1
+    assert nz_flow_boundary_counts(g, spec) == dict(nowhere_zero)
+    for b in all_vertex_functions(spec, g.vertex_count):
+        assert count_flows_bruteforce(g, b) == every[b.values]
+
+
+def test_nz_flows_on_a_long_cycle():
+    assert count_nz_flows_bruteforce(cycle(1001), BFunction.zero(Z2, 1001)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from flowpoly.catalog import all_multigraphs
 from flowpoly.errors import InputError
 from flowpoly.graphs import (
     MultiGraph,
+    bond_sides,
     bonds,
     bridges,
     component_count,
@@ -165,11 +167,51 @@ def test_loop_never_in_a_bond():
 
 
 def test_bonds_beyond_thirteen_vertices():
-    # Components of more than 13 vertices walk their sides in two parts.
+    # Long cycles and paths: few of their anchored sides are connected, and
+    # the walk grows only those.
     cycle16 = MultiGraph.from_pairs(16, [(i, (i + 1) % 16) for i in range(16)])
     assert bonds(cycle16) == [frozenset(pair) for pair in itertools.combinations(range(16), 2)]
     path15 = MultiGraph.from_pairs(15, [(i, i + 1) for i in range(14)])
     assert bonds(path15) == [frozenset({i}) for i in range(14)]
+
+
+def _w12_relabelled() -> MultiGraph:
+    pairs = [(i, (i + 1) % 12) for i in range(12)] + [(i, 12) for i in range(12)]
+    label = list(range(13))
+    random.Random(12).shuffle(label)
+    return MultiGraph.from_pairs(13, [(label[t], label[h]) for t, h in pairs])
+
+
+def _grid4() -> MultiGraph:
+    pairs = [(v, v + 1) for v in range(16) if (v + 1) % 4]
+    pairs += [(v, v + 4) for v in range(12)]
+    return MultiGraph.from_pairs(16, pairs)
+
+
+PETERSEN = MultiGraph.from_pairs(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize(
+    "g, count", [(_w12_relabelled(), 133), (_grid4(), 627), (PETERSEN, 191)]
+)
+def test_bond_sides_where_growth_prunes(g, count):
+    # Most anchored sides of these graphs are disconnected; the counts were
+    # taken from a walk over all 2^(n-1) of them.
+    sides = bond_sides(g)
+    assert len(sides) == count
+    everything = frozenset(range(g.vertex_count))
+    for bond, side in sides:
+        assert 0 in side
+        assert component_count(induced_subgraph(g, side)) == 1
+        assert component_count(induced_subgraph(g, everything - side)) == 1
+        assert bond == frozenset(
+            e.id for e in g.edges if (e.tail in side) != (e.head in side)
+        )
 
 
 @settings(max_examples=60, deadline=None)
