@@ -17,7 +17,7 @@ from flowpoly.abelian import parse_group
 from flowpoly.assigning import compare_coefficients, induced_assigning, poly_subset_expansion
 from flowpoly.catalog import complete, cycle
 from flowpoly.flows import BFunction, count_nz_flows_bruteforce, enumerate_zero_sum
-from flowpoly.graphs import cycle_rank
+from flowpoly.graphs import cycle_rank, lambda_family
 
 Z4 = parse_group("Z4")
 KLEIN = parse_group("Z2xZ2")
@@ -37,9 +37,10 @@ def main() -> None:
     print("== matching assignings across groups of order 4 (K4) ==")
     by_z4 = assigning_map(k4, Z4)
     by_klein = assigning_map(k4, KLEIN)
+    members = range(len(lambda_family(k4)))
     matched = sorted(
         (alpha for alpha in by_z4 if alpha in by_klein),
-        key=lambda a: tuple(bit for _, bit in a.entries),
+        key=lambda a: tuple(a >> i & 1 for i in members),
     )
     for alpha in matched[:4]:
         b, b2 = by_z4[alpha], by_klein[alpha]

@@ -12,7 +12,6 @@ cross-checks them on exhaustive catalogs of small multigraphs.
 from . import abelian, assigning, flows, graphs
 from .abelian import GroupElement, GroupSpec, parse_group
 from .assigning import (
-    Assigning,
     CoefficientComparison,
     EdgeOrder,
     b_compatible_bonds,
@@ -71,7 +70,6 @@ def clear_caches() -> None:
         abelian.residue_strides,
         graphs.components,
         graphs._lambda_family_cached,
-        graphs.lambda_members,
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,
@@ -81,7 +79,6 @@ def clear_caches() -> None:
 
 
 __all__ = [
-    "Assigning",
     "BFunction",
     "BudgetError",
     "CoefficientComparison",

@@ -21,10 +21,11 @@ no other code.
   each.
 
 Both polynomials depend on b only through its assigning α, which
-``alpha_bits`` packs into an int; the verification harness keys its
-classes of boundary functions by it.  Whether G - S is compatible with b
-depends only on the connected partition of G - S: for graphs of at most 10
-edges, ``_structure`` tabulates that partition for every subset S and
+``induced_assigning`` returns as an int with one bit per member of
+``lambda_family(g)``; the verification harness keys its classes of
+boundary functions by it.  Whether G - S is compatible with b depends only
+on the connected partition of G - S: for graphs of at most 10 edges,
+``_structure`` tabulates that partition for every subset S and
 ``compat_signature`` records which partitions b makes compatible.  Only
 the harness's per-subset lemma suites read the table.
 """
@@ -47,33 +48,10 @@ from .flows import (
     require_compatible,
     vertex_sum,
 )
-from .graphs import EdgeSet, MultiGraph, bond_sides, cycle_rank, lambda_members
+from .graphs import EdgeSet, MultiGraph, _lambda_family_cached, bond_sides, cycle_rank
 from .polynomial import IntPolynomial
 
 _TABLE_MAX_EDGES = 10
-
-
-@dataclass(frozen=True)
-class Assigning:
-    """A {0,1} label for every member of the graph's lambda family.
-
-    Entries are (sorted vertex tuple, bit) pairs in lexicographic key order,
-    so equal assignings compare equal regardless of the group they came from.
-    """
-
-    entries: tuple[tuple[tuple[int, ...], int], ...]
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.entries)
-
-    @property
-    def domain(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(key for key, _ in self.entries)
-
-    def pointwise_le(self, other: "Assigning") -> bool:
-        if self.domain != other.domain:
-            raise InputError("assignings live on different lambda families")
-        return all(a <= b for (_, a), (_, b) in zip(self.entries, other.entries))
 
 
 @dataclass(frozen=True)
@@ -102,22 +80,15 @@ class EdgeOrder:
         return {edge_id: rank for rank, edge_id in enumerate(self.sequence)}
 
 
-def induced_assigning(g: MultiGraph, b: BFunction) -> Assigning:
-    """The assigning of b: a member X gets 0 exactly when b sums to zero on X."""
-    _check_vertex_function(g, b)
-    bits = alpha_bits(g, b)
-    return Assigning(
-        tuple((member, bits >> i & 1) for i, member in enumerate(lambda_members(g)))
-    )
-
-
-def alpha_bits(g: MultiGraph, b: BFunction) -> int:
+def induced_assigning(g: MultiGraph, b: BFunction) -> int:
     """The assigning of b as an int: bit i is set when b sums to nonzero on
-    the i-th member of ``lambda_members(g)``.  b must have g's vertex count."""
+    the i-th member of ``lambda_family(g)``.  An assigning a is pointwise at
+    most a2 exactly when ``a & ~a2 == 0``."""
+    _check_vertex_function(g, b)
     add, _ = index_tables(b.spec)
     idx = b.indices
     bits = 0
-    for i, member in enumerate(lambda_members(g)):
+    for i, member in enumerate(_lambda_family_cached(g)):
         total = 0
         for v in member:
             total = add[total][idx[v]]
@@ -183,7 +154,7 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     """Bitmask recording which subset partitions of g are compatible with b.
 
     Bit j is set when every block of the j-th partition (as enumerated by the
-    cached subset table) sums to zero under b.  It and ``alpha_bits``
+    cached subset table) sums to zero under b.  It and ``induced_assigning``
     determine each other on one graph.  The verification harness reads
     per-mask compatibility from it, once per assigning class, and does not
     key by it.  Only available while the subset table fits (edge count at
@@ -521,10 +492,10 @@ def compare_coefficients(
 ) -> CoefficientComparison:
     """Compare the signless coefficient vectors induced by b and b2.
 
-    The two functions may live over different groups; assignings are compared
-    bit by bit.  Both polynomials are computed independently rather than
-    assuming the monotonicity theorem, so a violation shows up as an
-    inconsistent report.
+    The two functions may live over different groups; their assignings are
+    ints over the same lambda family, compared bit by bit.  Both polynomials
+    are computed independently rather than assuming the monotonicity
+    theorem, so a violation shows up as an inconsistent report.
     """
     require_compatible(g, b)
     require_compatible(g, b2)
@@ -534,7 +505,7 @@ def compare_coefficients(
     signless1 = poly_subset_expansion(g, b).signless_coefficients(top)
     signless2 = poly_subset_expansion(g, b2).signless_coefficients(top)
     return CoefficientComparison(
-        pointwise_le=alpha1.pointwise_le(alpha2),
+        pointwise_le=not alpha1 & ~alpha2,
         signless_first=signless1,
         signless_second=signless2,
         coefficientwise_le=all(x <= y for x, y in zip(signless1, signless2)),

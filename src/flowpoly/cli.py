@@ -258,7 +258,7 @@ def cmd_lambda(args) -> tuple[dict, int]:
         b = _load_b(args, g, spec)
         alpha = asg.induced_assigning(g, b)
         report["group"] = str(spec)
-        report["alpha"] = [bit for _, bit in alpha.entries]
+        report["alpha"] = [alpha >> i & 1 for i in range(len(family))]
     report["pass"] = True
     return report, EXIT_OK
 
@@ -367,14 +367,9 @@ def _add_graph_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_b_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--b",
-        choices=["zero"],
-        default="zero",
-        help="use the all-zero boundary function (default)",
+    parser.add_argument(
+        "--b-file", help="path to a boundary-function document (default: b = 0)"
     )
-    group.add_argument("--b-file", help="path to a boundary-function document")
 
 
 def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
@@ -465,9 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Holds no data derived from inputs; parse_args returns a fresh namespace.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report, code = args.func(args)
     except ParseError as exc:

@@ -242,12 +242,6 @@ def lambda_family(g: MultiGraph) -> list[VertexSet]:
 
 
 @lru_cache(maxsize=4096)
-def lambda_members(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
-    """The members of ``lambda_family(g)`` as sorted vertex tuples, in its order."""
-    return tuple(tuple(sorted(member)) for member in _lambda_family_cached(g))
-
-
-@lru_cache(maxsize=4096)
 def _lambda_family_cached(g: MultiGraph) -> tuple[VertexSet, ...]:
     component_of = {v: comp for comp in components(g) for v in comp}
     out: list[VertexSet] = []

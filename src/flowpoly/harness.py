@@ -12,13 +12,20 @@ class's polynomial is computed once, from its first b, and every b's
 brute-force count is checked against it.  The first class seen for an α
 stands for it in the order-dependent and lemma checks; a class of another
 group with the same α but a different polynomial raises ConsistencyError.
+
+The effort per graph is fixed.  Each class's broken-bond polynomial is
+computed under the default edge order and ``RANDOM_ORDERS`` shuffled ones,
+and the pairing lemma is checked under the default order and
+``PAIRING_ORDERS`` shuffled ones.  Every non-loop edge is reversed once for
+the orientation suite.  Up to ``COMPARISON_CALLS`` pointwise-ordered pairs
+of distinct classes also go through ``compare_coefficients``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import assigning as asg
 from .abelian import GroupSpec, parse_group
@@ -36,6 +43,10 @@ from .graphs import MultiGraph, bonds, component_count, cycle_rank, reverse_edge
 from .polynomial import IntPolynomial
 
 DEFAULT_GROUP_NAMES = ("Z2", "Z3", "Z4", "Z2xZ2")
+
+RANDOM_ORDERS = 5
+PAIRING_ORDERS = 2
+COMPARISON_CALLS = 3
 
 SUITE_NAMES = (
     "oracle_equivalence",
@@ -101,37 +112,21 @@ def run_verification(
     specs: Sequence[GroupSpec],
     *,
     seed: int = 0,
-    random_orders: int = 5,
-    pairing_orders: int = 2,
-    include_reversals: bool = True,
-    comparison_calls: int = 3,
     budget: int = DEFAULT_BUDGET,
-    progress: Callable[[int], None] | None = None,
 ) -> VerificationReport:
     """Run every verification suite over the given graphs and groups.
 
-    ``budget`` caps each brute-force flow enumeration, as in the flows module.
+    ``seed`` fixes the shuffled edge orders.  ``budget`` caps each
+    enumeration of zero-sum boundary functions and of flows, as in the flows
+    module, and the plan states of each call of either polynomial route.
     """
     report = VerificationReport({name: SuiteResult(name) for name in SUITE_NAMES})
     for spec in specs:
         if spec.order < 2:
             raise InputError("verification groups must have order >= 2")
     for index, g in enumerate(graphs):
-        _check_graph(
-            index,
-            g,
-            specs,
-            report,
-            seed=seed,
-            random_orders=random_orders,
-            pairing_orders=pairing_orders,
-            include_reversals=include_reversals,
-            comparison_calls=comparison_calls,
-            budget=budget,
-        )
+        _check_graph(index, g, specs, report, seed=seed, budget=budget)
         report.graph_count += 1
-        if progress is not None:
-            progress(report.graph_count)
     return report
 
 
@@ -149,10 +144,6 @@ def _check_graph(
     report: VerificationReport,
     *,
     seed: int,
-    random_orders: int,
-    pairing_orders: int,
-    include_reversals: bool,
-    comparison_calls: int,
     budget: int,
 ) -> None:
     suites = report.suites
@@ -179,10 +170,11 @@ def _check_graph(
         total_all = 0
         for b in enumerate_zero_sum(g, spec, budget=budget):
             report.instance_count += 1
-            alpha = asg.alpha_bits(g, b)
+            alpha = asg.induced_assigning(g, b)
             cls = classes.get(alpha)
             if cls is None:
-                cls = classes[alpha] = _AssigningClass(b, asg.poly_subset_expansion(g, b))
+                poly = asg.poly_subset_expansion(g, b, budget=budget)
+                cls = classes[alpha] = _AssigningClass(b, poly)
                 first = merged.setdefault(alpha, cls)
                 if cls.poly != first.poly:
                     raise ConsistencyError(
@@ -211,26 +203,23 @@ def _check_graph(
                 f"({(order - 1) ** m}, {order ** m})"
             )
 
-        if include_reversals:
-            suite3 = suites["orientation_independence"]
-            for edge in g.edges:
-                if edge.is_loop:
-                    continue
-                reversed_hist = nz_flow_index_counts(
-                    reverse_edge(g, edge.id), spec, budget=budget
+        suite3 = suites["orientation_independence"]
+        for edge in g.edges:
+            if edge.is_loop:
+                continue
+            reversed_hist = nz_flow_index_counts(reverse_edge(g, edge.id), spec, budget=budget)
+            suite3.checked += 1
+            if reversed_hist != hist:
+                suite3.fail(
+                    f"{label} over {spec}: reversing edge {edge.id} changed "
+                    "some nowhere-zero flow count"
                 )
-                suite3.checked += 1
-                if reversed_hist != hist:
-                    suite3.fail(
-                        f"{label} over {spec}: reversing edge {edge.id} changed "
-                        "some nowhere-zero flow count"
-                    )
 
     signless = {alpha: cls.poly.signless_coefficients(top) for alpha, cls in merged.items()}
-    _check_algorithms(index, g, merged, suites, seed, random_orders, label)
-    _check_lemmas(g, merged, suites, seed, pairing_orders, label)
+    _check_algorithms(index, g, merged, suites, seed, budget, label)
+    _check_lemmas(g, merged, suites, seed, label)
     _check_group_invariance(specs, per_spec_classes, histograms, suites, label)
-    _check_monotonicity(g, merged, signless, suites, comparison_calls, label)
+    _check_monotonicity(g, merged, signless, suites, label)
 
     if bridgeless:
         suite8 = suites["coefficient_structure"]
@@ -248,7 +237,7 @@ def _check_algorithms(
     merged: dict[int, _AssigningClass],
     suites: dict[str, SuiteResult],
     seed: int,
-    random_orders: int,
+    budget: int,
     label: str,
 ) -> None:
     suite2 = suites["algorithm_equivalence"]
@@ -256,10 +245,10 @@ def _check_algorithms(
     for alpha, cls in merged.items():
         expected = cls.poly
         rng = random.Random(f"{seed}:{index}:{alpha}")
-        produced = [asg.poly_nbb(g, cls.representative)]
-        for _ in range(random_orders):
+        produced = [asg.poly_nbb(g, cls.representative, budget=budget)]
+        for _ in range(RANDOM_ORDERS):
             order = asg.EdgeOrder.shuffled(g, rng)
-            produced.append(asg.poly_nbb(g, cls.representative, order))
+            produced.append(asg.poly_nbb(g, cls.representative, order, budget=budget))
         for poly in produced[1:]:
             suite2.checked += 1
             if poly != expected:
@@ -280,14 +269,13 @@ def _check_lemmas(
     merged: dict[int, _AssigningClass],
     suites: dict[str, SuiteResult],
     seed: int,
-    pairing_orders: int,
     label: str,
 ) -> None:
     suite_in = suites["inclusion_lemma"]
     suite_pair = suites["broken_bond_pairing"]
     if g.edge_count > asg._TABLE_MAX_EDGES:  # the per-subset table would not fit
         suite_in.skipped += len(merged)
-        suite_pair.skipped += len(merged) * (pairing_orders + 1)
+        suite_pair.skipped += len(merged) * (PAIRING_ORDERS + 1)
         return
     partition_id = asg._structure(g).partition_id
     subset_count = len(partition_id)
@@ -316,7 +304,7 @@ def _check_lemmas(
 
         rng = random.Random(f"pairing:{seed}:{label}:{alpha}")
         orders = [asg.EdgeOrder.default(g)]
-        for _ in range(pairing_orders):
+        for _ in range(PAIRING_ORDERS):
             orders.append(asg.EdgeOrder.shuffled(g, rng))
         full = subset_count - 1
         compatible_bonds = [
@@ -381,7 +369,6 @@ def _check_monotonicity(
     merged: dict[int, _AssigningClass],
     signless: dict[int, tuple[int, ...]],
     suites: dict[str, SuiteResult],
-    comparison_calls: int,
     label: str,
 ) -> None:
     suite5 = suites["comparison_monotonicity"]
@@ -397,7 +384,7 @@ def _check_monotonicity(
                     f"{label}: assigning {a1:b} <= {a2:b} pointwise but "
                     f"coefficients {v1} exceed {v2}"
                 )
-            elif exercised < comparison_calls and a1 != a2:
+            elif exercised < COMPARISON_CALLS and a1 != a2:
                 exercised += 1
                 outcome = asg.compare_coefficients(g, c1.representative, c2.representative)
                 if not (outcome.pointwise_le and outcome.consistent):

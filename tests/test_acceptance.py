@@ -37,7 +37,7 @@ def sweep():
     graphs = list(all_multigraphs(CATALOG_MAX_N, CATALOG_MAX_M))
     assert len(graphs) == 9024
     started = time.time()
-    report = run_verification(graphs, GROUPS, seed=SEED, random_orders=5)
+    report = run_verification(graphs, GROUPS, seed=SEED)
     report.elapsed = time.time() - started
     return report
 

@@ -64,27 +64,29 @@ K_MINUS_1 = IntPolynomial((-1, 1))
 
 def test_zero_function_induces_zero_assigning():
     for g in (triangle(), k4(), single_edge()):
-        alpha = induced_assigning(g, BFunction.zero(Z3, g.vertex_count))
-        assert all(bit == 0 for _, bit in alpha.entries)
+        assert induced_assigning(g, BFunction.zero(Z3, g.vertex_count)) == 0
 
 
 def test_induced_assigning_single_edge():
-    alpha = induced_assigning(single_edge(), BFunction(Z2, ((1,), (1,))))
-    assert alpha.as_dict() == {(0,): 1, (1,): 1}
+    g = single_edge()
+    alpha = induced_assigning(g, BFunction(Z2, ((1,), (1,))))
+    assert [sorted(member) for member in lambda_family(g)] == [[0], [1]]
+    assert alpha == 0b11
 
 
 def test_induced_assigning_triangle_all_ones():
-    alpha = induced_assigning(triangle(), BFunction(Z3, ((1,), (1,), (1,))))
-    assert set(alpha.as_dict().values()) == {1}
-    assert len(alpha.entries) == 6
+    g = triangle()
+    alpha = induced_assigning(g, BFunction(Z3, ((1,), (1,), (1,))))
+    assert len(lambda_family(g)) == 6
+    assert alpha == (1 << 6) - 1
 
 
 def test_pointwise_le():
     g = triangle()
     zero = induced_assigning(g, BFunction.zero(Z3, 3))
     ones = induced_assigning(g, BFunction(Z3, ((1,), (1,), (1,))))
-    assert zero.pointwise_le(ones)
-    assert not ones.pointwise_le(zero)
+    assert not zero & ~ones
+    assert ones & ~zero
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +433,13 @@ def test_side_sums_match_definitions(g, data):
     assert b_compatible_bonds(g, b) == [
         bond for bond in bonds(g) if is_b_compatible(delete_edges(g, bond), b)
     ]
-    for member, bit in induced_assigning(g, b).entries:
+    alpha = induced_assigning(g, b)
+    assert alpha >> len(lambda_family(g)) == 0
+    for i, member in enumerate(lambda_family(g)):
         total = spec.zero
         for v in member:
             total = spec.add(total, b.values[v])
-        assert bit == (0 if spec.is_zero(total) else 1)
+        assert alpha >> i & 1 == (0 if spec.is_zero(total) else 1)
 
 
 def test_broken_bonds_respect_order():
@@ -637,7 +641,6 @@ def test_clear_caches_empties_every_cache():
         abelian.residue_strides,
         graphs.components,
         graphs._lambda_family_cached,
-        graphs.lambda_members,
         graphs.bond_sides,
         flows._boundary_histogram,
         assigning._structure,

@@ -504,21 +504,40 @@ def test_check_honours_budget(capsys):
     assert "resource guard" in err
 
 
+# b = 0 needs no flag: "--b" is ambiguous between --b-file and --budget, or
+# abbreviates --budget where there is no --b-file.
+NO_SUCH_FLAGS = [["--force"], ["--b", "zero"]]
+
+
 def test_check_has_no_force_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--force"])
-    assert exc.value.code == EXIT_PARSE
-    assert "--force" in capsys.readouterr().err
+    for flag in NO_SUCH_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *flag])
+        assert exc.value.code == EXIT_PARSE
+        assert flag[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "subcommand", ["poly", "flows", "bonds", "lambda", "connectivity", "decompose"]
 )
 def test_graph_subcommands_have_no_force_flag(capsys, c3_file, subcommand):
-    with pytest.raises(SystemExit) as exc:
-        main([subcommand, c3_file, "--group", "Z3", "--force"])
-    assert exc.value.code == EXIT_PARSE
-    assert "--force" in capsys.readouterr().err
+    for flag in NO_SUCH_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, c3_file, "--group", "Z3", *flag])
+        assert exc.value.code == EXIT_PARSE
+        assert flag[0] in capsys.readouterr().err
+
+
+def test_b_file_does_not_carry_over_to_the_next_call(capsys, k2_file, tmp_path):
+    # main parses with one parser built at import; each call starts afresh.
+    b_file = tmp_path / "ones.b"
+    b_file.write_text("1\n1\n")
+    code, report, _ = run_cli(capsys, "lambda", k2_file, "--group", "Z2", "--b-file", str(b_file))
+    assert code == 0
+    assert report["alpha"] == [1, 1]
+    code, report, _ = run_cli(capsys, "lambda", k2_file, "--group", "Z2")
+    assert code == 0
+    assert report["alpha"] == [0, 0]
 
 
 @pytest.mark.parametrize("bound", [["--max-n", "0"], ["--max-m", "-1"]])

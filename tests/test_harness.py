@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from flowpoly.abelian import parse_group
-from flowpoly.errors import ConsistencyError
+from flowpoly.errors import BudgetError, ConsistencyError
 from flowpoly.graphs import MultiGraph
 from flowpoly.harness import (
     SUITE_NAMES,
@@ -113,6 +113,35 @@ def test_one_assigning_two_polynomials_raises(monkeypatch):
     specs = (parse_group("Z4"), klein)
     with pytest.raises(ConsistencyError, match="one assigning produced two polynomials"):
         run_verification([triangle()], specs, seed=0)
+
+
+def test_budget_caps_the_polynomial_routes():
+    # Five parallel edges: either route builds 6 plan states, while the
+    # boundary functions and flows stay within a budget of 4.
+    g = MultiGraph.from_pairs(2, [(0, 1)] * 5)
+    with pytest.raises(BudgetError, match="plan states"):
+        run_verification([g], (parse_group("Z2"),), budget=4)
+
+
+def test_budget_reaches_every_polynomial_call(monkeypatch):
+    import flowpoly.harness as harness
+
+    seen = []
+
+    def recording(real):
+        def call(g, b, *args, **kwargs):
+            seen.append((real.__name__, kwargs.get("budget")))
+            return real(g, b, *args, **kwargs)
+
+        return call
+
+    for name in ("poly_subset_expansion", "poly_nbb"):
+        monkeypatch.setattr(harness.asg, name, recording(getattr(harness.asg, name)))
+    # One assigning class, so compare_coefficients, which has no budget, is
+    # never called.
+    run_verification([single_loop()], (parse_group("Z3"),), budget=12345)
+    assert {name for name, _ in seen} == {"poly_subset_expansion", "poly_nbb"}
+    assert {budget for _, budget in seen} == {12345}
 
 
 def test_lemma_suites_skip_graphs_above_the_subset_table():
