@@ -67,7 +67,6 @@ def clear_caches() -> None:
     """Empty every cache the package keeps, so the next call starts cold."""
     for cache in (
         abelian.index_tables,
-        abelian.residue_strides,
         graphs.components,
         graphs._lambda_family_cached,
         graphs.bond_sides,

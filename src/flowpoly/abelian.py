@@ -9,7 +9,9 @@ one per cyclic factor.
 ``index_of`` check their arguments, which makes them the slow path.  Inside
 the package an element is its index, its position in ``elements()``, and
 ``index_tables`` adds and negates indices with no check at all; values
-read back from ``elements()`` are valid by construction.
+read back from ``elements()`` are valid by construction.  The tables are
+composed factor by factor from rotations of the cyclic groups' index
+ranges, so building them does no residue arithmetic.
 """
 
 from __future__ import annotations
@@ -105,18 +107,6 @@ class GroupSpec:
         return "x".join(f"Z{o}" for o in self.cyclic_orders)
 
 
-@lru_cache(maxsize=256)
-def residue_strides(spec: GroupSpec) -> tuple[int, ...]:
-    """Mixed-radix strides turning a residue tuple into its element index."""
-    strides = []
-    stride = 1
-    for o in reversed(spec.cyclic_orders):
-        strides.append(stride)
-        stride *= o
-    strides.reverse()
-    return tuple(strides)
-
-
 @lru_cache(maxsize=64)
 def index_tables(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Addition and negation tables on element indices.
@@ -124,22 +114,30 @@ def index_tables(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[in
     add_table[i][j] is the index of element_at(i) + element_at(j), and
     neg_table[i] the index of the inverse.  Built once per spec and shared;
     the hot enumeration loops run entirely on these small integers.
+
+    The tables are composed factor by factor.  Z_o's rows are the o
+    rotations of range(o).  In G x Z_o, (i, r) has index i*o + r; its row
+    joins, for each entry a of G's row i, the block a*o .. a*o + o - 1
+    rotated left by r, and it negates to neg[i]*o + (-r mod o).  All entries
+    come from one tuple(range(order)), so the rows share their int objects.
     """
     order = spec.order
     if order > _TABLE_ORDER_LIMIT:
         raise BudgetError(f"group of order {order} is too large for table-based enumeration")
-    elems = list(spec.elements())
-    strides = residue_strides(spec)
-
-    def idx(x: GroupElement) -> int:
-        return sum(r * s for r, s in zip(x, strides))
-
-    add_table = tuple(
-        tuple(idx(tuple((a + b) % o for a, b, o in zip(x, y, spec.cyclic_orders))) for y in elems)
-        for x in elems
-    )
-    neg_table = tuple(idx(tuple((-a) % o for a, o in zip(x, spec.cyclic_orders))) for x in elems)
-    return add_table, neg_table
+    ints = tuple(range(order))
+    first, *rest = spec.cyclic_orders
+    add = [ints[r:first] + ints[:r] for r in range(first)]
+    neg = [ints[-r % first] for r in range(first)]
+    for o in rest:
+        starts = range(0, len(add) * o, o)
+        rotated = [[ints[s + r : s + o] + ints[s : s + r] for s in starts] for r in range(o)]
+        add = [
+            tuple(itertools.chain.from_iterable(map(rotated[r].__getitem__, row)))
+            for row in add
+            for r in range(o)
+        ]
+        neg = [ints[n * o + (-r % o)] for n in neg for r in range(o)]
+    return tuple(add), tuple(neg)
 
 
 def parse_group(text: str) -> GroupSpec:

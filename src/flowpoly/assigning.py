@@ -489,21 +489,24 @@ def compare_coefficients(
     g: MultiGraph,
     b: BFunction,
     b2: BFunction,
+    *,
+    budget: int = DEFAULT_BUDGET,
 ) -> CoefficientComparison:
     """Compare the signless coefficient vectors induced by b and b2.
 
     The two functions may live over different groups; their assignings are
     ints over the same lambda family, compared bit by bit.  Both polynomials
     are computed independently rather than assuming the monotonicity
-    theorem, so a violation shows up as an inconsistent report.
+    theorem, so a violation shows up as an inconsistent report.  The budget
+    caps the plan states of each subset expansion.
     """
     require_compatible(g, b)
     require_compatible(g, b2)
     alpha1 = induced_assigning(g, b)
     alpha2 = induced_assigning(g, b2)
     top = cycle_rank(g)
-    signless1 = poly_subset_expansion(g, b).signless_coefficients(top)
-    signless2 = poly_subset_expansion(g, b2).signless_coefficients(top)
+    signless1 = poly_subset_expansion(g, b, budget=budget).signless_coefficients(top)
+    signless2 = poly_subset_expansion(g, b2, budget=budget).signless_coefficients(top)
     return CoefficientComparison(
         pointwise_le=not alpha1 & ~alpha2,
         signless_first=signless1,

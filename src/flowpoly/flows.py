@@ -23,7 +23,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Collection, Iterator, Mapping
 
-from .abelian import GroupElement, GroupSpec, index_tables, residue_strides
+from .abelian import GroupElement, GroupSpec, index_tables
 from .errors import BudgetError, IncompatibleError, InputError
 from .graphs import MultiGraph, VertexSet, components, cycle_rank
 
@@ -44,13 +44,9 @@ class BFunction:
 
     def __post_init__(self) -> None:
         values = tuple(tuple(v) for v in self.values)
-        for value in values:
-            self.spec.validate(value)
-        strides = residue_strides(self.spec)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "indices", tuple(sum(r * s for r, s in zip(v, strides)) for v in values)
-        )
+        # index_of validates each value before it reads the residues.
+        object.__setattr__(self, "indices", tuple(map(self.spec.index_of, values)))
 
     @classmethod
     def _trusted(

@@ -219,7 +219,7 @@ def _check_graph(
     _check_algorithms(index, g, merged, suites, seed, budget, label)
     _check_lemmas(g, merged, suites, seed, label)
     _check_group_invariance(specs, per_spec_classes, histograms, suites, label)
-    _check_monotonicity(g, merged, signless, suites, label)
+    _check_monotonicity(g, merged, signless, suites, budget, label)
 
     if bridgeless:
         suite8 = suites["coefficient_structure"]
@@ -369,6 +369,7 @@ def _check_monotonicity(
     merged: dict[int, _AssigningClass],
     signless: dict[int, tuple[int, ...]],
     suites: dict[str, SuiteResult],
+    budget: int,
     label: str,
 ) -> None:
     suite5 = suites["comparison_monotonicity"]
@@ -386,7 +387,9 @@ def _check_monotonicity(
                 )
             elif exercised < COMPARISON_CALLS and a1 != a2:
                 exercised += 1
-                outcome = asg.compare_coefficients(g, c1.representative, c2.representative)
+                outcome = asg.compare_coefficients(
+                    g, c1.representative, c2.representative, budget=budget
+                )
                 if not (outcome.pointwise_le and outcome.consistent):
                     suite5.fail(
                         f"{label}: compare_coefficients disagrees with the sweep "

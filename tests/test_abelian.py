@@ -6,8 +6,8 @@ import itertools
 
 import pytest
 
-from flowpoly.abelian import GroupSpec, parse_group
-from flowpoly.errors import InputError, ParseError
+from flowpoly.abelian import GroupSpec, index_tables, parse_group
+from flowpoly.errors import BudgetError, InputError, ParseError
 
 
 def test_add_klein():
@@ -95,6 +95,27 @@ def test_group_axioms_exhaustive():
                 assert spec.add(x, y) == spec.add(y, x)
             for x, y, z in itertools.product(elems, repeat=3):
                 assert spec.add(spec.add(x, y), z) == spec.add(x, spec.add(y, z))
+
+
+def test_index_tables_match_residue_arithmetic():
+    for spec in _specs_up_to_order(24):
+        add, neg = index_tables(spec)
+        assert len(add) == len(neg) == spec.order
+        for i in range(spec.order):
+            x = spec.element_at(i)
+            assert neg[i] == spec.index_of(spec.negate(x))
+            assert add[i] == tuple(
+                spec.index_of(spec.add(x, spec.element_at(j))) for j in range(spec.order)
+            )
+
+
+def test_index_tables_of_the_trivial_group():
+    assert index_tables(GroupSpec((1,))) == (((0,),), (0,))
+
+
+def test_index_tables_refuse_groups_above_the_limit():
+    with pytest.raises(BudgetError, match="too large for table-based enumeration"):
+        index_tables(GroupSpec((2049,)))
 
 
 def test_structural_groups_stay_distinct():

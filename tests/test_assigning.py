@@ -638,7 +638,6 @@ def test_k4_connectivity_over_small_groups():
 def test_clear_caches_empties_every_cache():
     caches = (
         abelian.index_tables,
-        abelian.residue_strides,
         graphs.components,
         graphs._lambda_family_cached,
         graphs.bond_sides,

@@ -182,6 +182,13 @@ def test_poly_k8_honours_budget(capsys, k8_file):
     assert "resource guard" in err
 
 
+def test_poly_group_above_the_table_limit_exits_resource(capsys, k2_file):
+    code, report, err = run_cli(capsys, "poly", k2_file, "--group", "Z2049")
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "too large for table-based enumeration" in err
+
+
 def _wheel_file(tmp_path, rim: int, extra: int = 0) -> str:
     """The wheel with rim vertices 0..rim-1 and hub rim, plus extra hub loops."""
     pairs = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]

@@ -123,7 +123,8 @@ def test_budget_caps_the_polynomial_routes():
         run_verification([g], (parse_group("Z2"),), budget=4)
 
 
-def test_budget_reaches_every_polynomial_call(monkeypatch):
+def _record_budgets(monkeypatch, names):
+    """Wrap each named assigning function to record the budget it is given."""
     import flowpoly.harness as harness
 
     seen = []
@@ -135,12 +136,28 @@ def test_budget_reaches_every_polynomial_call(monkeypatch):
 
         return call
 
-    for name in ("poly_subset_expansion", "poly_nbb"):
+    for name in names:
         monkeypatch.setattr(harness.asg, name, recording(getattr(harness.asg, name)))
-    # One assigning class, so compare_coefficients, which has no budget, is
-    # never called.
+    return seen
+
+
+def test_budget_reaches_every_polynomial_call(monkeypatch):
+    seen = _record_budgets(monkeypatch, ("poly_subset_expansion", "poly_nbb"))
+    # One assigning class, so the harness has no ordered pair to hand to
+    # compare_coefficients; the next test covers that call.
     run_verification([single_loop()], (parse_group("Z3"),), budget=12345)
     assert {name for name, _ in seen} == {"poly_subset_expansion", "poly_nbb"}
+    assert {budget for _, budget in seen} == {12345}
+
+
+def test_budget_reaches_compare_coefficients(monkeypatch):
+    # Over Z3 the triangle's b = 0 gives the zero assigning, pointwise below
+    # the other classes, so the harness recomputes ordered pairs of
+    # polynomials through compare_coefficients.
+    names = ("compare_coefficients", "poly_subset_expansion")
+    seen = _record_budgets(monkeypatch, names)
+    run_verification([triangle()], (parse_group("Z3"),), budget=12345)
+    assert {name for name, _ in seen} == set(names)
     assert {budget for _, budget in seen} == {12345}
 
 
