@@ -317,6 +317,9 @@ def poly_nbb(
     The signless coefficient a_i is the number of i-edge subsets S such that
     G - S stays compatible with b and S contains no compatible broken bond
     for the given edge order; the polynomial is sum (-1)^i a_i k^(m(G)-i).
+    The a_i do not depend on the order.  With no order given, the count runs
+    under the plan's own order: the non-loop edges by their step, then the
+    loops.  ``broken_bonds`` with no order still takes the edge ids.
 
     The subsets are counted edge by edge, in the order of ``_edge_plan``,
     over states instead of subsets.  The kept edges split the vertices into
@@ -338,6 +341,14 @@ def poly_nbb(
     """
     _check_vertex_function(g, b)
     edge_bit, loops, steps = _edge_plan(g)
+    if order is None:
+        # A broken bond's bit is live from the step of its first edge to the
+        # step of its last.  Under the steps' own order each bond drops its
+        # last-decided edge, which keeps those windows short and few at once.
+        ids = tuple(edge_bit)
+        if loops:
+            ids += tuple(edge.id for edge in g.edges if edge.is_loop)
+        order = EdgeOrder(ids)
     # broken_bonds validates the order and requires g to be compatible with b.
     broken = [sum(map(edge_bit.__getitem__, bond)) for bond in broken_bonds(g, b, order)]
     top = cycle_rank(g)
@@ -427,7 +438,7 @@ _Decision = tuple[int, int, tuple[int, ...]]
 
 @lru_cache(maxsize=4096)
 def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
-    """(2^rank for each non-loop edge id, loop count, steps) for both routes.
+    """(2^rank for each non-loop edge id, by rank, loop count, steps) for both routes.
 
     Vertices are discovered breadth first, each component from its least
     vertex, and a discovered vertex brings its edges to the vertices

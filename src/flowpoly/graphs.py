@@ -3,7 +3,9 @@
 Graphs are immutable: a vertex count plus an ordered tuple of oriented
 edges.  Loops and parallel edges are allowed.  Edge ids double as the
 default total order on edges, so subgraph operations preserve the original
-ids (they stay strictly increasing but may become sparse).
+ids (they stay strictly increasing but may become sparse).  ``broken_bonds``
+takes that order when given none; ``poly_nbb`` counts under its edge plan's
+order instead, since its coefficients do not depend on the order.
 """
 
 from __future__ import annotations

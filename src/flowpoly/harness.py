@@ -14,7 +14,7 @@ stands for it in the order-dependent and lemma checks; a class of another
 group with the same α but a different polynomial raises ConsistencyError.
 
 The effort per graph is fixed.  Each class's broken-bond polynomial is
-computed under the default edge order and ``RANDOM_ORDERS`` shuffled ones,
+computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
 and the pairing lemma is checked under the default order and
 ``PAIRING_ORDERS`` shuffled ones.  Every non-loop edge is reversed once for
 the orientation suite.  Up to ``COMPARISON_CALLS`` pointwise-ordered pairs
@@ -245,6 +245,7 @@ def _check_algorithms(
     for alpha, cls in merged.items():
         expected = cls.poly
         rng = random.Random(f"{seed}:{index}:{alpha}")
+        # No order: poly_nbb counts under the edge plan's order, not the edge ids.
         produced = [asg.poly_nbb(g, cls.representative, budget=budget)]
         for _ in range(RANDOM_ORDERS):
             order = asg.EdgeOrder.shuffled(g, rng)

@@ -449,6 +449,36 @@ def test_broken_bonds_respect_order():
     assert broken_bonds(g, b, reversed_order) == [frozenset({1}), frozenset({2})]
 
 
+def _prism_relabelled() -> MultiGraph:
+    """The prism C10 x K2 with its vertices relabelled and its edges shuffled."""
+    pairs = [(i, (i + 1) % 10) for i in range(10)]
+    pairs += [(10 + i, 10 + (i + 1) % 10) for i in range(10)]
+    pairs += [(i, 10 + i) for i in range(10)]
+    rng = random.Random(3)
+    label = list(range(20))
+    rng.shuffle(label)
+    pairs = [(label[t], label[h]) for t, h in pairs]
+    rng.shuffle(pairs)
+    return MultiGraph.from_pairs(20, pairs)
+
+
+def _plan_order(g: MultiGraph) -> EdgeOrder:
+    """The non-loop edge ids by their step in the edge plan, then the loops."""
+    edge_bit, _, _ = assigning._edge_plan(g)
+    loops = tuple(edge.id for edge in g.edges if edge.is_loop)
+    return EdgeOrder(tuple(sorted(edge_bit, key=edge_bit.__getitem__)) + loops)
+
+
+def test_broken_bonds_default_to_the_edge_ids():
+    # poly_nbb counts under the plan's order when given none, but the broken
+    # bonds that flowpoly bonds reports stay those of the edge-id order.
+    g = _prism_relabelled()
+    b = BFunction.zero(Z3, 20)
+    default = broken_bonds(g, b, EdgeOrder.default(g))
+    assert broken_bonds(g, b) == default
+    assert broken_bonds(g, b, _plan_order(g)) != default
+
+
 # ---------------------------------------------------------------------------
 # Broken-bond counting.
 
@@ -465,6 +495,27 @@ def test_poly_nbb_bridge_is_zero():
 
 def test_poly_nbb_loop():
     assert poly_nbb(single_loop(), BFunction.zero(Z2, 1)) == K_MINUS_1
+
+
+def test_poly_nbb_counts_under_the_plan_order_by_default(monkeypatch):
+    # A broken bond stays live in the state from its first step to its last,
+    # so the edge-id order of a relabelled graph multiplies the states.
+    g = _prism_relabelled()
+    b = BFunction.zero(Z3, 20)
+    summed = []
+    guard = assigning._guard
+
+    def counting(work, budget, what):
+        summed[-1] = work
+        guard(work, budget, what)
+
+    monkeypatch.setattr(assigning, "_guard", counting)
+    polys = []
+    for order in (None, EdgeOrder.default(g)):
+        summed.append(0)
+        polys.append(poly_nbb(g, b, order))
+    assert summed == [487, 76298]
+    assert polys[0] == polys[1]
 
 
 def test_poly_nbb_order_validation():

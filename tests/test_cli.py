@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,24 @@ def test_poly_grid6_subset_runs_and_nbb_walks_vertex_subsets(capsys, tmp_path):
     assert code == EXIT_RESOURCE
     assert report is None
     assert "2^36 vertex subsets" in err
+
+
+def test_poly_nbb_relabelled_k9_counts_under_the_plan_order(capsys, tmp_path):
+    # With no --order, broken-bond counting follows the edge plan; under the
+    # edge ids of this relabelling it builds more than 20000 plan states.
+    pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    rng = random.Random(3)
+    label = list(range(9))
+    rng.shuffle(label)
+    pairs = [(label[t], label[h]) for t, h in pairs]
+    rng.shuffle(pairs)
+    graph = tmp_path / "k9.graph"
+    graph.write_text(f"9 {len(pairs)}\n" + "".join(f"{t} {h}\n" for t, h in pairs))
+    code, report, _ = run_cli(
+        capsys, "poly", str(graph), "--group", "Z3", "--algorithm", "nbb", "--budget", "20000"
+    )
+    assert code == 0
+    assert report["mG"] == 28
 
 
 def test_poly_nbb_honours_vertex_subset_budget(capsys, tmp_path):
