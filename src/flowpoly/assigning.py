@@ -200,9 +200,11 @@ def poly_subset_expansion(
     k and merges the blocks of its ends.  A block whose last open vertex
     closes with a nonzero b-sum leaves G - S incompatible and drops the
     state; a zero sum is one more component, a factor k.  Vertices with no
-    edge but loops never close and are one component each.  Since
-    m(G - S) = kept + components - n, the final value is shifted down by n.
-    Loops join no blocks, so each multiplies by k - 1.  Values are
+    edge but loops never close and are one component each, so
+    m(G - S) = kept + components - n = kept + closed blocks - closed, and
+    the final value is shifted down one digit per closed vertex.  No term
+    falls below that: a closed block of s vertices keeps at least s - 1
+    edges.  Loops join no blocks, so each multiplies by k - 1.  Values are
     polynomials packed into one int, in balanced base-2^(m + 2) digits,
     which hold every partial coefficient (at most 2^m in size).  The work
     is the states built, summed over the steps; BudgetError is raised once
@@ -213,7 +215,6 @@ def poly_subset_expansion(
     _, loops, steps = _edge_plan(g)
     add, _ = index_tables(b.spec)
     q = b.spec.order
-    n = g.vertex_count
     w = g.edge_count + 2
     closed = work = 0
     # Before its first edge every vertex is a block of its own.
@@ -259,10 +260,10 @@ def poly_subset_expansion(
                     value <<= w
             else:
                 states[codes] = states.get(codes, 0) + value
-    total = sum(states.values()) << w * (n - closed)
+    total = sum(states.values()) >> w * closed
     for _ in range(loops):
         total = (total << w) - total
-    return IntPolynomial(_unpack(total, w)[n:])
+    return IntPolynomial(_unpack(total, w))
 
 
 def _unpack(packed: int, w: int) -> tuple[int, ...]:

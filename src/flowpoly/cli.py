@@ -225,6 +225,7 @@ def cmd_flows(args) -> tuple[dict, int]:
 
 def cmd_bonds(args) -> tuple[dict, int]:
     g = _load_graph(args)
+    order = _parse_order(args, g)
     _vertex_subset_budget(args, g)
     report = {
         "command": "bonds",
@@ -236,7 +237,6 @@ def cmd_bonds(args) -> tuple[dict, int]:
         spec = parse_group(args.group)
         b = _load_b(args, g, spec)
         require_compatible(g, b)
-        order = _parse_order(args, g)
         report["group"] = str(spec)
         report["b_compatible_bonds"] = _edge_sets(asg.b_compatible_bonds(g, b))
         report["broken_bonds"] = _edge_sets(asg.broken_bonds(g, b, order))
@@ -266,7 +266,13 @@ def cmd_lambda(args) -> tuple[dict, int]:
 def cmd_connectivity(args) -> tuple[dict, int]:
     g = _load_graph(args)
     spec = parse_group(args.group)
+    other = None
     if args.compare is not None:
+        other = parse_group(args.compare)
+        if other.order != spec.order:
+            raise ParseError(
+                f"comparison group {other} must share the order of {spec}"
+            )
         _vertex_subset_budget(args, g)  # induced_assigning walks the lambda family
     connected, witness = asg.is_A_connected(g, spec, budget=args.budget)
     report = {
@@ -276,12 +282,7 @@ def cmd_connectivity(args) -> tuple[dict, int]:
         "witness": [list(v) for v in witness.values] if witness is not None else None,
     }
     code = EXIT_OK
-    if args.compare is not None:
-        other = parse_group(args.compare)
-        if other.order != spec.order:
-            raise ParseError(
-                f"comparison group {other} must share the order of {spec}"
-            )
+    if other is not None:
         other_connected, _ = asg.is_A_connected(g, other, budget=args.budget)
         alphas = {
             asg.induced_assigning(g, b)

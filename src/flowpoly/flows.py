@@ -64,9 +64,6 @@ class BFunction:
     def zero(cls, spec: GroupSpec, vertex_count: int) -> "BFunction":
         return cls(spec, (spec.zero,) * vertex_count)
 
-    def value(self, vertex: int) -> GroupElement:
-        return self.values[vertex]
-
     @property
     def is_zero(self) -> bool:
         return not any(self.indices)

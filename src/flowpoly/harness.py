@@ -9,23 +9,25 @@ structural lemmas the broken-bond argument rests on.
 The polynomial depends on b only through its assigning α, so the boundary
 functions of each group fall into assigning classes keyed by α.  Each
 class's polynomial is computed once, from its first b, and every b's
-brute-force count is checked against it.  The first class seen for an α
-stands for it in the order-dependent and lemma checks; a class of another
-group with the same α but a different polynomial raises ConsistencyError.
+brute-force count is checked against it.  A class also keeps its signless
+coefficients and its first b's brute-force count, which the monotonicity,
+coefficient-structure and group-invariance suites read.  The first class
+seen for an α stands for it in the order-dependent and lemma checks; a
+class of another group with the same α but a different polynomial raises
+ConsistencyError.
 
 The effort per graph is fixed.  Each class's broken-bond polynomial is
 computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
 and the pairing lemma is checked under the default order and
 ``PAIRING_ORDERS`` shuffled ones.  Every non-loop edge is reversed once for
-the orientation suite.  Up to ``COMPARISON_CALLS`` pointwise-ordered pairs
-of distinct classes also go through ``compare_coefficients``.
+the orientation suite.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import assigning as asg
 from .abelian import GroupSpec, parse_group
@@ -46,7 +48,6 @@ DEFAULT_GROUP_NAMES = ("Z2", "Z3", "Z4", "Z2xZ2")
 
 RANDOM_ORDERS = 5
 PAIRING_ORDERS = 2
-COMPARISON_CALLS = 3
 
 SUITE_NAMES = (
     "oracle_equivalence",
@@ -134,6 +135,8 @@ def run_verification(
 class _AssigningClass:
     representative: BFunction  # the first b seen with this assigning
     poly: IntPolynomial  # computed from the representative
+    signless: tuple[int, ...]  # poly's signless coefficients, a_0 first
+    count: int  # the representative's nowhere-zero flows, by brute force
     members: int = 0
 
 
@@ -156,12 +159,10 @@ def _check_graph(
     # first class seen for each alpha over all groups.
     merged: dict[int, _AssigningClass] = {}
     per_spec_classes: list[dict[int, _AssigningClass]] = []
-    histograms = []
 
     m = g.edge_count
     for spec in specs:
         hist = nz_flow_index_counts(g, spec, budget=budget)
-        histograms.append(hist)
         classes: dict[int, _AssigningClass] = {}
         suite1 = suites["oracle_equivalence"]
         order = spec.order
@@ -171,10 +172,13 @@ def _check_graph(
         for b in enumerate_zero_sum(g, spec, budget=budget):
             report.instance_count += 1
             alpha = asg.induced_assigning(g, b)
+            brute = count_nz_flows_bruteforce(g, b, budget=budget)
             cls = classes.get(alpha)
             if cls is None:
                 poly = asg.poly_subset_expansion(g, b, budget=budget)
-                cls = classes[alpha] = _AssigningClass(b, poly)
+                cls = classes[alpha] = _AssigningClass(
+                    b, poly, poly.signless_coefficients(top), brute
+                )
                 first = merged.setdefault(alpha, cls)
                 if cls.poly != first.poly:
                     raise ConsistencyError(
@@ -185,7 +189,6 @@ def _check_graph(
                     )
             cls.members += 1
 
-            brute = count_nz_flows_bruteforce(g, b, budget=budget)
             total_nz += brute
             total_all += count_flows(g, b)
             suite1.checked += 1
@@ -215,15 +218,15 @@ def _check_graph(
                     "some nowhere-zero flow count"
                 )
 
-    signless = {alpha: cls.poly.signless_coefficients(top) for alpha, cls in merged.items()}
     _check_algorithms(index, g, merged, suites, seed, budget, label)
     _check_lemmas(g, merged, suites, seed, label)
-    _check_group_invariance(specs, per_spec_classes, histograms, suites, label)
-    _check_monotonicity(g, merged, signless, suites, budget, label)
+    _check_group_invariance(specs, per_spec_classes, suites, label)
+    _check_monotonicity(merged, suites, label)
 
     if bridgeless:
         suite8 = suites["coefficient_structure"]
-        for vector in signless.values():
+        for cls in merged.values():
+            vector = cls.signless
             suite8.checked += 1
             if two_edge_connected and vector[0] != 1:
                 suite8.fail(f"{label}: leading signless coefficient {vector[0]} != 1")
@@ -340,7 +343,6 @@ def _check_lemmas(
 def _check_group_invariance(
     specs: Sequence[GroupSpec],
     per_spec_classes: list[dict[int, _AssigningClass]],
-    histograms: list[Mapping[tuple[int, ...], int]],
     suites: dict[str, SuiteResult],
     label: str,
 ) -> None:
@@ -356,46 +358,30 @@ def _check_group_invariance(
                     suite4.skipped += cls.members
                     continue
                 suite4.checked += cls.members
-                count_a = histograms[i].get(cls.representative.indices, 0)
-                count_b = histograms[j].get(partner.representative.indices, 0)
-                if count_a != count_b:
+                if cls.count != partner.count:
                     suite4.fail(
                         f"{label}: equal assignings over {spec_a} and {spec_b} "
-                        f"count {count_a} vs {count_b} nowhere-zero flows"
+                        f"count {cls.count} vs {partner.count} nowhere-zero flows"
                     )
 
 
 def _check_monotonicity(
-    g: MultiGraph,
     merged: dict[int, _AssigningClass],
-    signless: dict[int, tuple[int, ...]],
     suites: dict[str, SuiteResult],
-    budget: int,
     label: str,
 ) -> None:
     suite5 = suites["comparison_monotonicity"]
-    exercised = 0
     for a1, c1 in merged.items():
         for a2, c2 in merged.items():
             if a1 & ~a2:
                 continue
             suite5.checked += 1
-            v1, v2 = signless[a1], signless[a2]
+            v1, v2 = c1.signless, c2.signless
             if any(x > y for x, y in zip(v1, v2)):
                 suite5.fail(
                     f"{label}: assigning {a1:b} <= {a2:b} pointwise but "
                     f"coefficients {v1} exceed {v2}"
                 )
-            elif exercised < COMPARISON_CALLS and a1 != a2:
-                exercised += 1
-                outcome = asg.compare_coefficients(
-                    g, c1.representative, c2.representative, budget=budget
-                )
-                if not (outcome.pointwise_le and outcome.consistent):
-                    suite5.fail(
-                        f"{label}: compare_coefficients disagrees with the sweep "
-                        f"for b={c1.representative.values}"
-                    )
 
 
 def run_classical_checks() -> SuiteResult:

@@ -256,12 +256,14 @@ ONLY_LOOPS = MultiGraph.from_pairs(3, [(1, 1), (0, 0), (1, 1)])
 K25 = MultiGraph.from_pairs(7, [(v, a) for v in (4, 1, 5, 3, 2) for a in (6, 0)])
 # Runs of parallel edges, decided one edge at a time.
 PARALLEL = MultiGraph.from_pairs(4, [(0, 1)] * 4 + [(1, 2)] * 3 + [(2, 0), (2, 3), (3, 2)])
+# Mostly vertices that never close: 3 and 7 with only loops, 25 isolated.
+SPARSE = MultiGraph.from_pairs(30, [(0, 1), (1, 2), (2, 0), (3, 3), (7, 7), (7, 7), (2, 2)])
 
 
 @pytest.mark.parametrize(
     "g",
-    [SCATTERED, ONLY_LOOPS, K25, PARALLEL],
-    ids=["scattered", "only-loops", "K2,5", "parallel"],
+    [SCATTERED, ONLY_LOOPS, K25, PARALLEL, SPARSE],
+    ids=["scattered", "only-loops", "K2,5", "parallel", "sparse"],
 )
 def test_subset_program_matches_definition(g):
     subsets = _literal_subsets(g)
@@ -272,6 +274,39 @@ def test_subset_program_matches_definition(g):
         ]:
             expected = _expansion_by_definition(subsets, cycle_rank(g), b)
             assert poly_subset_expansion(g, b) == expected
+
+
+def test_subset_expansion_ignores_isolated_vertices():
+    # Padding a triangle with two loops on a vertex of its own by 1,000
+    # isolated vertices, which carry b = 0, leaves every polynomial alone.
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    small = MultiGraph.from_pairs(4, pairs + [(3, 3)] * 2)
+    large = MultiGraph.from_pairs(1004, pairs + [(500, 500)] * 2)
+    for spec in (Z3, Z2XZ2):
+        for b in enumerate_zero_sum(small, spec):
+            values = b.values[:3] + (spec.zero,) * 497 + b.values[3:] + (spec.zero,) * 503
+            assert poly_subset_expansion(large, BFunction(spec, values)) == (
+                poly_subset_expansion(small, b)
+            )
+
+
+def test_subset_expansion_unpacks_only_the_digits_it_keeps(monkeypatch):
+    # The packed total is shifted down by the closed vertices before it is
+    # unpacked, so the vertices that never close cost no digits.
+    real = assigning._unpack
+    lengths = []
+
+    def recording(packed, w):
+        digits = real(packed, w)
+        lengths.append(len(digits))
+        return digits
+
+    monkeypatch.setattr(assigning, "_unpack", recording)
+    g = MultiGraph.from_pairs(1003, [(0, 1), (1, 2), (2, 0)])
+    b = BFunction(Z3, ((1,), (1,), (1,)) + ((0,),) * 1000)
+    assert poly_subset_expansion(g, b) == IntPolynomial((-3, 1))
+    assert poly_subset_expansion(g, BFunction.zero(Z3, 1003)) == K_MINUS_1
+    assert lengths and max(lengths) <= cycle_rank(g) + 1
 
 
 def test_subset_expansion_ignores_labels_and_edge_order():
@@ -643,6 +678,15 @@ def test_compare_across_groups():
         g, BFunction.zero(parse_group("Z2xZ2"), 3), BFunction(Z3, ((1,), (2,), (0,)))
     )
     assert report.consistent
+
+
+def test_compare_honours_the_budget():
+    # Five parallel edges: the subset expansions build more than 4 plan states.
+    g = MultiGraph.from_pairs(2, [(0, 1)] * 5)
+    b = BFunction.zero(Z2, 2)
+    with pytest.raises(BudgetError, match="plan states"):
+        compare_coefficients(g, b, b, budget=4)
+    assert compare_coefficients(g, b, b).consistent
 
 
 def test_compare_rejects_incompatible():

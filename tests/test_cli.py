@@ -371,6 +371,13 @@ def test_bonds_with_b(capsys, k2_file):
     assert report["broken_bonds"] == [[]]
 
 
+def test_bonds_rejects_bad_order_without_group(capsys, c3_file):
+    code, report, err = run_cli(capsys, "bonds", c3_file, "--order", "9,9,9")
+    assert code == EXIT_PARSE
+    assert report is None
+    assert "not a permutation" in err
+
+
 def test_lambda_triangle(capsys, c3_file):
     code, report, _ = run_cli(capsys, "lambda", c3_file, "--group", "Z3")
     assert code == 0
@@ -433,11 +440,14 @@ def test_connectivity_compare_groups(capsys, c3_file):
 
 
 def test_connectivity_compare_rejects_order_mismatch(capsys, c3_file):
+    # A budget of 1 would stop the vertex-subset guard and is_A_connected,
+    # so the mismatch must be reported before either runs.
     code, _, err = run_cli(
-        capsys, "connectivity", c3_file, "--group", "Z4", "--compare", "Z3"
+        capsys, "connectivity", c3_file, "--group", "Z4", "--compare", "Z3",
+        "--budget", "1",
     )
     assert code == EXIT_PARSE
-    assert "order" in err
+    assert "must share the order" in err
 
 
 def test_connectivity_k8_honours_budget(capsys, k8_file):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import flowpoly.assigning as asg
 from flowpoly.abelian import parse_group
 from flowpoly.errors import BudgetError, ConsistencyError
+from flowpoly.flows import enumerate_zero_sum
 from flowpoly.graphs import MultiGraph
 from flowpoly.harness import (
     SUITE_NAMES,
@@ -143,22 +145,23 @@ def _record_budgets(monkeypatch, names):
 
 def test_budget_reaches_every_polynomial_call(monkeypatch):
     seen = _record_budgets(monkeypatch, ("poly_subset_expansion", "poly_nbb"))
-    # One assigning class, so the harness has no ordered pair to hand to
-    # compare_coefficients; the next test covers that call.
     run_verification([single_loop()], (parse_group("Z3"),), budget=12345)
     assert {name for name, _ in seen} == {"poly_subset_expansion", "poly_nbb"}
     assert {budget for _, budget in seen} == {12345}
 
 
-def test_budget_reaches_compare_coefficients(monkeypatch):
+def test_one_subset_expansion_per_assigning_class(monkeypatch):
     # Over Z3 the triangle's b = 0 gives the zero assigning, pointwise below
-    # the other classes, so the harness recomputes ordered pairs of
-    # polynomials through compare_coefficients.
-    names = ("compare_coefficients", "poly_subset_expansion")
-    seen = _record_budgets(monkeypatch, names)
-    run_verification([triangle()], (parse_group("Z3"),), budget=12345)
-    assert {name for name, _ in seen} == set(names)
-    assert {budget for _, budget in seen} == {12345}
+    # the other classes; the monotonicity suite compares the coefficients
+    # the classes hold instead of recomputing them.
+    z3 = parse_group("Z3")
+    g = triangle()
+    seen = _record_budgets(monkeypatch, ("poly_subset_expansion",))
+    report = run_verification([g], (z3,))
+    classes = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, z3)}
+    assert len(classes) > 1
+    assert len(seen) == len(classes)
+    assert report["comparison_monotonicity"].checked > len(classes)
 
 
 def test_lemma_suites_skip_graphs_above_the_subset_table():
