@@ -73,6 +73,7 @@ def clear_caches() -> None:
         flows._boundary_histogram,
         assigning._structure,
         assigning._edge_plan,
+        assigning._plan_bonds,
     ):
         cache.cache_clear()
 

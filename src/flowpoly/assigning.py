@@ -15,10 +15,13 @@ no other code.
   subsets containing no compatible broken bond for a chosen edge order.
   Whether a partial S can still be completed depends only on its blocks and
   on which broken bonds it has wholly deleted so far, so the subsets are
-  counted by size over those states.  A bond E[X, W - X] of a b-compatible
-  graph is compatible exactly when b sums to zero on its side X, so the
-  broken bonds come from the graph's cached bond sides and one vertex sum
-  each.
+  counted by size over those states.  The bonds are cached per graph as
+  pairs of masks, ``_plan_bonds``: the side X holding its component's least
+  vertex, and the cut E[X, W - X] in the plan's edge bits, grown by XOR-ing
+  in each vertex's incidence mask as the side takes it.  A bond of a
+  b-compatible graph is compatible exactly when b sums to zero on X, and
+  its broken bond is the cut minus its top-ranked bit.  ``b_compatible_bonds``
+  and ``broken_bonds`` apply the same rule and turn the masks into edge ids.
 
 Both polynomials depend on b only through its assigning α, which
 ``induced_assigning`` returns as an int with one bit per member of
@@ -35,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
@@ -46,9 +50,15 @@ from .flows import (
     count_nz_flows_bruteforce,
     enumerate_zero_sum,
     require_compatible,
-    vertex_sum,
 )
-from .graphs import EdgeSet, MultiGraph, _lambda_family_cached, bond_sides, cycle_rank
+from .graphs import (
+    EdgeSet,
+    MultiGraph,
+    _bits,
+    _lambda_family_cached,
+    cycle_rank,
+    side_cuts,
+)
 from .polynomial import IntPolynomial
 
 _TABLE_MAX_EDGES = 10
@@ -280,7 +290,7 @@ def _unpack(packed: int, w: int) -> tuple[int, ...]:
 
 
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
-    """Bonds whose removal leaves the graph compatible with b.
+    """Bonds whose removal leaves the graph compatible with b, in bonds() order.
 
     In a compatible graph, removing E[X, W - X] leaves every component but
     X and W - X alone, and b sums to zero on W, so the bond is compatible
@@ -288,22 +298,73 @@ def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
     """
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    return [bond for bond, side in bond_sides(g) if not vertex_sum(b, side)]
+    return _edge_sets(g, [cut for cut, _ in _compatible_bonds(g, b, None)])
 
 
 def broken_bonds(
     g: MultiGraph, b: BFunction, order: EdgeOrder | None = None
 ) -> list[EdgeSet]:
-    """Each compatible bond minus its greatest edge, duplicates merged."""
-    if order is None:
-        order = EdgeOrder.default(g)
+    """Each compatible bond minus its greatest edge, duplicates merged.
+
+    With no order given, the edge ids are the order (``poly_nbb`` takes its
+    plan's own order instead).
+    """
+    rank = _plan_ranks(g, order or EdgeOrder.default(g))
+    _check_vertex_function(g, b)
+    require_compatible(g, b)
+    return _edge_sets(g, {mask for _, mask in _compatible_bonds(g, b, rank)})
+
+
+def _edge_sets(g: MultiGraph, masks: Iterable[int]) -> list[EdgeSet]:
+    """Plan-bit masks as edge-id sets, sorted lexicographically."""
+    ids = tuple(_edge_plan(g)[0])  # edge ids by plan bit
+    return sorted([frozenset([ids[i] for i in _bits(mask)]) for mask in masks], key=sorted)
+
+
+def _plan_ranks(g: MultiGraph, order: EdgeOrder) -> list[int]:
+    """The rank of each plan bit's edge in a validated order."""
     order.validate_for(g)
-    rank = order.rank_map()
-    out = {
-        bond - {max(bond, key=rank.__getitem__)}
-        for bond in b_compatible_bonds(g, b)
-    }
-    return sorted(out, key=sorted)
+    edge_bit, _, steps = _edge_plan(g)
+    rank = [0] * len(steps)
+    for r, edge_id in enumerate(order.sequence):
+        bit = edge_bit.get(edge_id)  # loops have no bit
+        if bit:
+            rank[bit.bit_length() - 1] = r
+    return rank
+
+
+def _compatible_bonds(
+    g: MultiGraph, b: BFunction, rank: list[int] | None
+) -> list[tuple[int, int]]:
+    """(cut, broken bond) in plan bits for each bond compatible with b.
+
+    b must be compatible with g.  A bond is compatible when b sums to zero
+    on its side.  Its broken bond is its cut minus the top-ranked bit: the
+    highest bit when rank is None, else the bit of greatest rank.
+    """
+    add, _ = index_tables(b.spec)
+    nonzero = [(1 << v, i) for v, i in enumerate(b.indices) if i]
+    out = []
+    for side, cut in _plan_bonds(g):
+        total = 0
+        for bit, i in nonzero:
+            if side & bit:
+                total = add[total][i]
+        if total:
+            continue
+        if rank is None:
+            top = 1 << cut.bit_length() - 1
+        else:
+            best = -1
+            rest = cut
+            while rest:
+                low = rest & -rest
+                r = rank[low.bit_length() - 1]
+                if r > best:
+                    best, top = r, low
+                rest ^= low
+        out.append((cut, cut ^ top))
+    return out
 
 
 def poly_nbb(
@@ -321,6 +382,15 @@ def poly_nbb(
     The a_i do not depend on the order.  With no order given, the count runs
     under the plan's own order: the non-loop edges by their step, then the
     loops.  ``broken_bonds`` with no order still takes the edge ids.
+
+    The bonds come from ``_plan_bonds``: a side mask, and a cut mask with
+    bit r for the edge of step r.  A bond is compatible when b sums to zero
+    on its side, and its broken bond is the cut minus its top-ranked bit:
+    the highest bit under the plan's order, else the bit whose edge comes
+    last in the given order.  Duplicates merge as ints; no edge-id set is
+    built.  A broken bond is live from the step of its first edge to the
+    step of its last, and under the plan's order it drops its last-decided
+    edge, which keeps those windows short and few at once.
 
     The subsets are counted edge by edge, in the order of ``_edge_plan``,
     over states instead of subsets.  The kept edges split the vertices into
@@ -341,17 +411,10 @@ def poly_nbb(
     walked for the broken bonds are not counted.
     """
     _check_vertex_function(g, b)
-    edge_bit, loops, steps = _edge_plan(g)
-    if order is None:
-        # A broken bond's bit is live from the step of its first edge to the
-        # step of its last.  Under the steps' own order each bond drops its
-        # last-decided edge, which keeps those windows short and few at once.
-        ids = tuple(edge_bit)
-        if loops:
-            ids += tuple(edge.id for edge in g.edges if edge.is_loop)
-        order = EdgeOrder(ids)
-    # broken_bonds validates the order and requires g to be compatible with b.
-    broken = [sum(map(edge_bit.__getitem__, bond)) for bond in broken_bonds(g, b, order)]
+    _, loops, steps = _edge_plan(g)
+    rank = None if order is None else _plan_ranks(g, order)
+    require_compatible(g, b)
+    broken = list({mask for _, mask in _compatible_bonds(g, b, rank)})
     top = cycle_rank(g)
     counts = [0] * (top + 1)
     if 0 in broken:  # the empty set lies in every S
@@ -480,6 +543,18 @@ def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...
                         closing = tuple([z for z in (u, v) if not left[z]])
                         steps.append((u, v, closing))
     return edge_bit, loops, tuple(steps)
+
+
+@lru_cache(maxsize=4096)
+def _plan_bonds(g: MultiGraph) -> tuple[tuple[int, int], ...]:
+    """(side, cut) for every bond of g: the anchored side as a vertex mask
+    and the cut in the bits of ``_edge_plan``, from one ``side_cuts`` walk."""
+    _, _, steps = _edge_plan(g)
+    incidence = [0] * g.vertex_count
+    for r, (x, y, _) in enumerate(steps):
+        incidence[x] |= 1 << r
+        incidence[y] |= 1 << r
+    return tuple(side_cuts(g, incidence))
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,7 @@ def cmd_poly(args) -> tuple[dict, int]:
     if args.algorithm != "subset":
         _vertex_subset_budget(args, g)  # poly_nbb walks the bond sides
     order = _parse_order(args, g)
-    require_compatible(g, b)
-
+    # Each route checks that b is compatible with g.
     report = {
         "command": "poly",
         "n": g.vertex_count,
@@ -236,7 +235,6 @@ def cmd_bonds(args) -> tuple[dict, int]:
     if args.group is not None:
         spec = parse_group(args.group)
         b = _load_b(args, g, spec)
-        require_compatible(g, b)
         report["group"] = str(spec)
         report["b_compatible_bonds"] = _edge_sets(asg.b_compatible_bonds(g, b))
         report["broken_bonds"] = _edge_sets(asg.broken_bonds(g, b, order))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -175,15 +175,37 @@ def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
     """Every bond E[X, W - X] with its anchored side X, in bonds() order.
 
     X is the half holding the least vertex of W, which also deduplicates the
-    two halves; every such X is a member of the lambda family.
+    two halves; every such X is a member of the lambda family.  This is the
+    frozenset view of ``side_cuts`` with one bit per edge position.
+    ``poly_nbb`` reads the same walk with one bit per step of its edge plan:
+    a bond is compatible by its side's b-sum, and its broken bond is its cut
+    mask minus the top-ranked bit.
+    """
+    incidence = [0] * g.vertex_count
+    for pos, e in enumerate(g.edges):
+        incidence[e.tail] ^= 1 << pos
+        incidence[e.head] ^= 1 << pos  # a loop's bit cancels
+    ids = g.edge_ids
+    found = [
+        (frozenset([ids[pos] for pos in _bits(cut)]), frozenset(_bits(side)))
+        for side, cut in side_cuts(g, incidence)
+    ]
+    return tuple(sorted(found, key=lambda pair: sorted(pair[0])))
+
+
+def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
+    """(X, E[X, W - X]) as masks for every bond, in no particular order.
+
+    X is a vertex mask: the connected side holding the least vertex of its
+    component W, with W - X connected too.  The cut is the XOR of the masks
+    incidence[v] over v in X, so with one bit per non-loop edge in each of
+    its ends' masks it has exactly the edges leaving X.
     """
     near = [0] * g.vertex_count  # neighbour bitmasks
-    crossing: list[tuple[int, int, int]] = []
     for e in g.edges:
         if not e.is_loop:
             near[e.tail] |= 1 << e.head
             near[e.head] |= 1 << e.tail
-            crossing.append((e.id, e.tail, e.head))
 
     def connected(mask: int) -> bool:
         reached = grown = mask & -mask
@@ -197,33 +219,39 @@ def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
             reached |= grown
         return reached == mask
 
-    found: list[tuple[EdgeSet, VertexSet]] = []
+    found: list[tuple[int, int]] = []
     for comp in components(g):
         if len(comp) < 2:
             continue
-        members = sorted(comp)
-        whole = sum(1 << v for v in members)
-        # Grow the connected sides that hold the anchor, the least member.
-        # An entry is a side, the neighbours it may still take and the
-        # vertices it may not take.  The branch that takes one neighbour may
-        # not take those of the branches before it, so each side comes once.
-        stack = [(1 << members[0], near[members[0]], 0)]
+        anchor = min(comp)
+        whole = sum(1 << v for v in comp)
+        # Grow the connected sides that hold the anchor.  An entry is a
+        # side, the neighbours it may still take, the vertices it may not
+        # take and its cut.  The branch that takes one neighbour may not
+        # take those of the branches before it, so each side comes once.
+        stack = [(1 << anchor, near[anchor], 0, incidence[anchor])]
         while stack:
-            side, ext, banned = stack.pop()
+            side, ext, banned, cut = stack.pop()
             if side != whole and connected(whole ^ side):
-                cut = frozenset(
-                    [edge_id for edge_id, t, h in crossing if (side >> t ^ side >> h) & 1]
-                )
-                found.append((cut, frozenset([v for v in members if side >> v & 1])))
+                found.append((side, cut))
             while ext:
                 low = ext & -ext
                 ext ^= low
+                v = low.bit_length() - 1
                 grown = side | low
                 stack.append(
-                    (grown, ext | near[low.bit_length() - 1] & ~grown & ~banned, banned)
+                    (grown, ext | near[v] & ~grown & ~banned, banned, cut ^ incidence[v])
                 )
                 banned |= low
-    return tuple(sorted(found, key=lambda pair: sorted(pair[0])))
+    return found
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def bridges(g: MultiGraph) -> list[int]:

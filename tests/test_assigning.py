@@ -30,9 +30,11 @@ from flowpoly.flows import (
     count_nz_flows_bruteforce,
     enumerate_zero_sum,
     is_b_compatible,
+    vertex_sum,
 )
 from flowpoly.graphs import (
     MultiGraph,
+    bond_sides,
     bonds,
     components,
     cycle_rank,
@@ -558,6 +560,94 @@ def test_poly_nbb_order_validation():
         poly_nbb(triangle(), BFunction.zero(Z2, 3), EdgeOrder((0, 1)))
 
 
+def test_poly_nbb_validates_the_order_before_compatibility():
+    incompatible = BFunction(Z2, ((1,), (0,), (0,)))
+    with pytest.raises(InputError):
+        poly_nbb(triangle(), incompatible, EdgeOrder((0, 1)))
+    with pytest.raises(IncompatibleError):
+        poly_nbb(triangle(), incompatible, EdgeOrder((2, 0, 1)))
+
+
+def test_poly_nbb_reads_no_edge_id_sets(monkeypatch):
+    # poly_nbb takes its bonds as plan-bit masks, never through the
+    # frozenset layer of bond_sides and broken_bonds.
+    g = _prism_relabelled()
+    b = _random_compatible_b(g, Z3, random.Random(4))
+    expected = poly_subset_expansion(g, b)
+    flowpoly.clear_caches()
+
+    def refuse(*args):
+        raise AssertionError("the frozenset layer was called")
+
+    monkeypatch.setattr(graphs, "bond_sides", refuse)
+    monkeypatch.setattr(assigning, "broken_bonds", refuse)
+    assert poly_nbb(g, b) == expected
+    assert poly_nbb(g, b, EdgeOrder.shuffled(g, random.Random(5))) == expected
+
+
+def _seeded_multigraphs(seed: int, count: int) -> list[MultiGraph]:
+    """Random multigraphs with n <= 7 and m <= 12; about a third lose an edge
+    afterwards, so that their edge ids are sparse."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        g = MultiGraph.from_pairs(n, pairs)
+        if pairs and rng.random() < 0.3:
+            g = delete_edges(g, [rng.choice(g.edge_ids)])
+        out.append(g)
+    return out
+
+
+DIFFERENTIAL = _seeded_multigraphs(1818, 40)
+
+
+def _differential_cases(seed: int):
+    """(g, b, orders) over DIFFERENTIAL and every wide group: b = 0 and one
+    random compatible b, under no order, the edge ids, their reverse and a
+    shuffle."""
+    rng = random.Random(seed)
+    for g in DIFFERENTIAL:
+        default = EdgeOrder.default(g)
+        orders = (None, default, EdgeOrder(default.sequence[::-1]), EdgeOrder.shuffled(g, rng))
+        for spec in WIDE_GROUPS:
+            for b in (BFunction.zero(spec, g.vertex_count), _random_compatible_b(g, spec, rng)):
+                yield g, b, orders
+
+
+def test_differential_graphs_cover_the_shapes():
+    loops = parallel = isolated = split = sparse = False
+    for g in DIFFERENTIAL:
+        pairs = g.pairs()
+        loops |= any(t == h for t, h in pairs)
+        parallel |= len({frozenset(p) for p in pairs if p[0] != p[1]}) < len(
+            [p for p in pairs if p[0] != p[1]]
+        )
+        touched = {v for p in pairs for v in p}
+        isolated |= len(touched) < g.vertex_count
+        split |= sum(1 for comp in components(g) if len(comp) > 1) > 1
+        sparse |= g.edge_ids != tuple(range(g.edge_count))
+    assert loops and parallel and isolated and split and sparse
+
+
+def test_poly_nbb_matches_subset_expansion_under_every_order():
+    for g, b, orders in _differential_cases(77):
+        expected = poly_subset_expansion(g, b)
+        for order in orders:
+            assert poly_nbb(g, b, order) == expected, (g, b, order)
+
+
+def test_bond_lists_match_their_definition():
+    for g, b, orders in _differential_cases(78):
+        compatible = [bond for bond, side in bond_sides(g) if not vertex_sum(b, side)]
+        assert b_compatible_bonds(g, b) == compatible
+        for order in orders:
+            rank = (order or EdgeOrder.default(g)).rank_map()
+            broken = {bond - {max(bond, key=rank.__getitem__)} for bond in compatible}
+            assert broken_bonds(g, b, order) == sorted(broken, key=sorted), (g, b, order)
+
+
 @settings(max_examples=50, deadline=None)
 @given(multigraphs(max_vertices=4, max_edges=6), st.data())
 def test_algorithm_equivalence(g, data):
@@ -739,6 +829,7 @@ def test_clear_caches_empties_every_cache():
         flows._boundary_histogram,
         assigning._structure,
         assigning._edge_plan,
+        assigning._plan_bonds,
     )
     lambda_family(complete(4))
     bonds(complete(4))

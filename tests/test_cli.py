@@ -19,6 +19,7 @@ from flowpoly.cli import (
     parse_b_document,
     parse_graph_document,
 )
+from flowpoly import flows
 from flowpoly.abelian import parse_group
 from flowpoly.errors import ParseError
 from flowpoly.flows import BFunction
@@ -172,6 +173,44 @@ def test_poly_incompatible_b_exits_domain(capsys, k2_file, tmp_path):
     assert code == EXIT_DOMAIN
     assert report is None
     assert "component" in err
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (("poly",), 1),
+        (("poly", "--algorithm", "nbb"), 1),
+        (("poly", "--algorithm", "both"), 2),
+        (("bonds",), 2),
+    ],
+    ids=["poly", "poly-nbb", "poly-both", "bonds"],
+)
+def test_one_compatibility_walk_per_route(capsys, monkeypatch, c3_file, tmp_path, argv, walks):
+    # The commands leave the compatibility check to the library calls, each
+    # of which walks the components once; an incompatible b still exits 3.
+    calls = []
+    walk = flows.incompatible_component
+
+    def counting(g, b):
+        calls.append(g)
+        return walk(g, b)
+
+    monkeypatch.setattr(flows, "incompatible_component", counting)
+    command, *flags = argv
+    code, _, _ = run_cli(capsys, command, c3_file, "--group", "Z2", *flags)
+    assert code == 0
+    assert len(calls) == walks
+    b_file = tmp_path / "b.txt"
+    b_file.write_text("1\n0\n0\n")
+    code, report, err = run_cli(
+        capsys, command, c3_file, "--group", "Z2", "--b-file", str(b_file), *flags
+    )
+    assert code == EXIT_DOMAIN
+    assert report is None
+    assert err == (
+        "incompatible boundary function: component [0, 1, 2] sums to (1,), "
+        "expected the group zero\n"
+    )
 
 
 def test_poly_k8_honours_budget(capsys, k8_file):
