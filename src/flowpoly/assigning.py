@@ -504,11 +504,17 @@ _Decision = tuple[int, int, tuple[int, ...]]
 def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
     """(2^rank for each non-loop edge id, by rank, loop count, steps) for both routes.
 
-    Vertices are discovered breadth first, each component from its least
-    vertex, and a discovered vertex brings its edges to the vertices
-    discovered before it, in edge-list order.  Step r decides the edge of
-    rank r, between vertices x and y; afterwards the vertices in closing
-    have no edge left to decide.
+    Vertices are placed one at a time, each component from its least vertex,
+    and a placed vertex brings its edges to the vertices placed before it, in
+    edge-list order.  Both routes build more states the more vertices are
+    open (placed, with edges still to decide), so the next vertex is the
+    unplaced neighbour of the placed ones that leaves the fewest open: +1 if
+    it keeps edges to unplaced vertices, -1 for each placed neighbour with
+    one edge left, which it closes.  That misses a neighbour whose last edges
+    are all parallel edges to it, which costs width, never correctness.  Ties
+    go to the most edges back to placed vertices, then the least label.
+    Step r decides the edge of rank r, between vertices x and y; afterwards
+    the vertices in closing have no edge left to decide.
     """
     n = g.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -520,28 +526,45 @@ def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...
         else:
             adj[x].append((y, edge.id))
             adj[y].append((x, edge.id))
-    left = [len(ends) for ends in adj]
-    seen = [False] * n
+    left = [len(ends) for ends in adj]  # edges still to decide
+    back = [0] * n  # edges to placed vertices
+    placed = [False] * n
     edge_bit: dict[int, int] = {}
     steps: list[_Decision] = []
     for root in range(n):
-        if seen[root]:
+        if placed[root]:
             continue
-        seen[root] = True
-        queue = [root]
-        for x in queue:  # the loop also reads the vertices it appends
-            for v, _ in adj[x]:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                queue.append(v)
-                for u, edge_id in adj[v]:
-                    if seen[u]:
-                        edge_bit[edge_id] = 1 << len(steps)
-                        left[u] -= 1
-                        left[v] -= 1
-                        closing = tuple([z for z in (u, v) if not left[z]])
-                        steps.append((u, v, closing))
+        frontier = [root]  # unplaced vertices next to placed ones
+        while frontier:
+            v = frontier[0]
+            if len(frontier) > 1:
+                best = None
+                for z in frontier:
+                    opened = left[z] > back[z]
+                    for u, _ in adj[z]:
+                        if placed[u] and left[u] == 1:
+                            opened -= 1
+                    key = (opened, -back[z], z)
+                    if best is None or key < best:
+                        v, best = z, key
+            frontier.remove(v)
+            placed[v] = True
+            for u, edge_id in adj[v]:
+                if placed[u]:
+                    edge_bit[edge_id] = 1 << len(steps)
+                    left[u] -= 1
+                    left[v] -= 1
+                    # Spelled out: building a filtered tuple costs about as
+                    # much as the rest of the step on small graphs.
+                    if left[u]:
+                        closing = () if left[v] else (v,)
+                    else:
+                        closing = (u,) if left[v] else (u, v)
+                    steps.append((u, v, closing))
+                else:
+                    if not back[u]:
+                        frontier.append(u)
+                    back[u] += 1
     return edge_bit, loops, tuple(steps)
 
 

@@ -176,7 +176,8 @@ def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
 
     X is the half holding the least vertex of W, which also deduplicates the
     two halves; every such X is a member of the lambda family.  This is the
-    frozenset view of ``side_cuts`` with one bit per edge position.
+    frozenset view of ``side_cuts`` with one bit per edge position, so it
+    costs one pruned walk over the connected sides that hold the anchor.
     ``poly_nbb`` reads the same walk with one bit per step of its edge plan:
     a bond is compatible by its side's b-sum, and its broken bond is its cut
     mask minus the top-ranked bit.
@@ -200,6 +201,14 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
     component W, with W - X connected too.  The cut is the XOR of the masks
     incidence[v] over v in X, so with one bit per non-loop edge in each of
     its ends' masks it has exactly the edges leaving X.
+
+    The walk grows connected sides from the anchor, and each side it grows
+    costs one reach through W - X: from the least vertex the side may not
+    take, or from the least vertex of W - X when it may take them all.  If
+    the reach covers W - X, X is a bond's side.  If it misses a vertex the
+    side may not take, no larger side leaves a connected complement, since
+    those vertices stay outside every larger side, and the walk goes no
+    further from X.
     """
     near = [0] * g.vertex_count  # neighbour bitmasks
     for e in g.edges:
@@ -207,8 +216,9 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
             near[e.tail] |= 1 << e.head
             near[e.head] |= 1 << e.tail
 
-    def connected(mask: int) -> bool:
-        reached = grown = mask & -mask
+    def reach(start: int, mask: int) -> int:
+        """The vertices of mask connected to the vertex bit start within mask."""
+        reached = grown = start
         while grown:
             step = 0
             while grown:
@@ -217,7 +227,7 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
                 grown ^= low
             grown = step & mask & ~reached
             reached |= grown
-        return reached == mask
+        return reached
 
     found: list[tuple[int, int]] = []
     for comp in components(g):
@@ -232,8 +242,15 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
         stack = [(1 << anchor, near[anchor], 0, incidence[anchor])]
         while stack:
             side, ext, banned, cut = stack.pop()
-            if side != whole and connected(whole ^ side):
+            rest = whole ^ side
+            if not rest:
+                continue
+            start = banned or rest
+            reached = reach(start & -start, rest)
+            if reached == rest:
                 found.append((side, cut))
+            elif banned & ~reached:
+                continue
             while ext:
                 low = ext & -ext
                 ext ^= low

@@ -25,6 +25,15 @@ def k4() -> MultiGraph:
     return MultiGraph.from_pairs(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
 
+def petersen() -> MultiGraph:
+    return MultiGraph.from_pairs(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+
+
 @pytest.fixture
 def c3() -> MultiGraph:
     return triangle()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -36,10 +37,13 @@ from flowpoly.graphs import (
     MultiGraph,
     bond_sides,
     bonds,
+    component_count,
     components,
     cycle_rank,
     delete_edges,
+    induced_subgraph,
     lambda_family,
+    side_cuts,
 )
 from flowpoly.polynomial import IntPolynomial
 
@@ -48,6 +52,7 @@ from conftest import (
     WIDE_GROUPS,
     k4,
     multigraphs,
+    petersen,
     single_edge,
     single_loop,
     triangle,
@@ -253,9 +258,11 @@ SCATTERED = MultiGraph.from_pairs(
     7, [(5, 6), (3, 3), (0, 1), (2, 0), (3, 3), (1, 2), (6, 5), (1, 0), (2, 2)]
 )
 ONLY_LOOPS = MultiGraph.from_pairs(3, [(1, 1), (0, 0), (1, 1)])
-# K2,5 with vertex 0 on the 2 side: breadth first from 0, all six other
-# vertices are open at once.
+# K2,5 with vertex 0 on the 2 side and the 5 side listed out of label order.
 K25 = MultiGraph.from_pairs(7, [(v, a) for v in (4, 1, 5, 3, 2) for a in (6, 0)])
+# K5: under any vertex order all five vertices are open at once, while the
+# last one's edges are decided.
+K5 = complete(5)
 # Runs of parallel edges, decided one edge at a time.
 PARALLEL = MultiGraph.from_pairs(4, [(0, 1)] * 4 + [(1, 2)] * 3 + [(2, 0), (2, 3), (3, 2)])
 # Mostly vertices that never close: 3 and 7 with only loops, 25 isolated.
@@ -264,8 +271,8 @@ SPARSE = MultiGraph.from_pairs(30, [(0, 1), (1, 2), (2, 0), (3, 3), (7, 7), (7, 
 
 @pytest.mark.parametrize(
     "g",
-    [SCATTERED, ONLY_LOOPS, K25, PARALLEL, SPARSE],
-    ids=["scattered", "only-loops", "K2,5", "parallel", "sparse"],
+    [SCATTERED, ONLY_LOOPS, K25, K5, PARALLEL, SPARSE],
+    ids=["scattered", "only-loops", "K2,5", "K5", "parallel", "sparse"],
 )
 def test_subset_program_matches_definition(g):
     subsets = _literal_subsets(g)
@@ -486,17 +493,22 @@ def test_broken_bonds_respect_order():
     assert broken_bonds(g, b, reversed_order) == [frozenset({1}), frozenset({2})]
 
 
+def _relabelled(g: MultiGraph) -> MultiGraph:
+    """g with its vertices relabelled and its edges shuffled, from one seed."""
+    rng = random.Random(3)
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    pairs = [(label[t], label[h]) for t, h in g.pairs()]
+    rng.shuffle(pairs)
+    return MultiGraph.from_pairs(g.vertex_count, pairs)
+
+
 def _prism_relabelled() -> MultiGraph:
     """The prism C10 x K2 with its vertices relabelled and its edges shuffled."""
     pairs = [(i, (i + 1) % 10) for i in range(10)]
     pairs += [(10 + i, 10 + (i + 1) % 10) for i in range(10)]
     pairs += [(i, 10 + i) for i in range(10)]
-    rng = random.Random(3)
-    label = list(range(20))
-    rng.shuffle(label)
-    pairs = [(label[t], label[h]) for t, h in pairs]
-    rng.shuffle(pairs)
-    return MultiGraph.from_pairs(20, pairs)
+    return _relabelled(MultiGraph.from_pairs(20, pairs))
 
 
 def _plan_order(g: MultiGraph) -> EdgeOrder:
@@ -534,12 +546,9 @@ def test_poly_nbb_loop():
     assert poly_nbb(single_loop(), BFunction.zero(Z2, 1)) == K_MINUS_1
 
 
-def test_poly_nbb_counts_under_the_plan_order_by_default(monkeypatch):
-    # A broken bond stays live in the state from its first step to its last,
-    # so the edge-id order of a relabelled graph multiplies the states.
-    g = _prism_relabelled()
-    b = BFunction.zero(Z3, 20)
-    summed = []
+def _counting_states(monkeypatch) -> list[int]:
+    """A list whose last entry takes the states summed by the route running."""
+    summed = [0]
     guard = assigning._guard
 
     def counting(work, budget, what):
@@ -547,12 +556,37 @@ def test_poly_nbb_counts_under_the_plan_order_by_default(monkeypatch):
         guard(work, budget, what)
 
     monkeypatch.setattr(assigning, "_guard", counting)
-    polys = []
-    for order in (None, EdgeOrder.default(g)):
-        summed.append(0)
-        polys.append(poly_nbb(g, b, order))
-    assert summed == [487, 76298]
+    return summed
+
+
+def test_poly_nbb_counts_under_the_plan_order_by_default(monkeypatch):
+    # A broken bond stays live in the state from its first step to its last,
+    # so the edge-id order of a relabelled graph multiplies the states.
+    g = _prism_relabelled()
+    b = BFunction.zero(Z3, 20)
+    summed = _counting_states(monkeypatch)
+    polys = [poly_nbb(g, b)]
+    summed.append(0)
+    polys.append(poly_nbb(g, b, EdgeOrder.default(g)))
+    assert summed == [230, 70965]
     assert polys[0] == polys[1]
+
+
+def test_subset_expansion_plan_ignores_grid_labels(monkeypatch):
+    # The plan picks each next vertex by the vertices it leaves open, not by
+    # label, so relabelling the 5 x 5 grid keeps its states few.
+    pairs = []
+    for v in range(25):
+        if v % 5 < 4:
+            pairs.append((v, v + 1))
+        if v < 20:
+            pairs.append((v, v + 5))
+    built = MultiGraph.from_pairs(25, pairs)
+    b = BFunction.zero(Z3, 25)
+    expected = poly_subset_expansion(built, b)
+    summed = _counting_states(monkeypatch)
+    assert poly_subset_expansion(_relabelled(built), b) == expected
+    assert summed == [2448]
 
 
 def test_poly_nbb_order_validation():
@@ -646,6 +680,50 @@ def test_bond_lists_match_their_definition():
             rank = (order or EdgeOrder.default(g)).rank_map()
             broken = {bond - {max(bond, key=rank.__getitem__)} for bond in compatible}
             assert broken_bonds(g, b, order) == sorted(broken, key=sorted), (g, b, order)
+
+
+def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():
+    for g in DIFFERENTIAL:
+        edge_bit, loops, steps = assigning._edge_plan(g)
+        ends = {e.id: {e.tail, e.head} for e in g.edges if not e.is_loop}
+        assert loops == g.edge_count - len(ends)
+        assert set(edge_bit) == set(ends)
+        assert sorted(edge_bit.values()) == [1 << r for r in range(len(steps))]
+        last = {}
+        for edge_id, bit in edge_bit.items():
+            r = bit.bit_length() - 1
+            x, y, _ = steps[r]
+            assert {x, y} == ends[edge_id]
+            for v in (x, y):
+                last[v] = max(last.get(v, r), r)
+        closed = [(v, r) for r, (_, _, closing) in enumerate(steps) for v in closing]
+        assert sorted(closed) == sorted(last.items()), g
+
+
+def test_side_cuts_match_their_definition():
+    for g in DIFFERENTIAL + [petersen()]:
+        incidence = [0] * g.vertex_count
+        for pos, e in enumerate(g.edges):
+            incidence[e.tail] ^= 1 << pos
+            incidence[e.head] ^= 1 << pos
+        expected = []
+        for comp in components(g):
+            anchor, others = min(comp), sorted(comp - {min(comp)})
+            for r in range(len(others)):
+                for taken in itertools.combinations(others, r):
+                    side = {anchor, *taken}
+                    if all(
+                        component_count(induced_subgraph(g, part)) == 1
+                        for part in (side, comp - side)
+                    ):
+                        cut = sum(
+                            1 << pos
+                            for pos, e in enumerate(g.edges)
+                            if (e.tail in side) != (e.head in side)
+                        )
+                        expected.append((sum(1 << v for v in side), cut))
+        found = side_cuts(g, incidence)
+        assert sorted(found) == sorted(expected), g
 
 
 @settings(max_examples=50, deadline=None)

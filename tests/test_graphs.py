@@ -25,7 +25,7 @@ from flowpoly.graphs import (
     reverse_edge,
 )
 
-from conftest import k4, multigraphs, single_edge, single_loop, triangle
+from conftest import k4, multigraphs, petersen, single_edge, single_loop, triangle
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +188,8 @@ def _grid4() -> MultiGraph:
     return MultiGraph.from_pairs(16, pairs)
 
 
-PETERSEN = MultiGraph.from_pairs(
-    10,
-    [(i, (i + 1) % 5) for i in range(5)]
-    + [(i, i + 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-)
-
-
 @pytest.mark.parametrize(
-    "g, count", [(_w12_relabelled(), 133), (_grid4(), 627), (PETERSEN, 191)]
+    "g, count", [(_w12_relabelled(), 133), (_grid4(), 627), (petersen(), 191)]
 )
 def test_bond_sides_where_growth_prunes(g, count):
     # Most anchored sides of these graphs are disconnected; the counts were
