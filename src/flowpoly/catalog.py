@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .graphs import MultiGraph
+from .graphs import Edge, MultiGraph
 
 
 def endpoint_slots(vertex_count: int) -> list[tuple[int, int]]:
@@ -18,13 +18,17 @@ def all_multigraphs(max_vertices: int, max_edges: int) -> Iterator[MultiGraph]:
     """Every labelled multigraph with at most the given vertices and edges.
 
     Edges are multisets of endpoint pairs, so loops and parallel edges are
-    covered; each edge is oriented low-to-high by default.
+    covered; each edge is oriented low-to-high by default.  The graphs share
+    their edge records: one frozen ``Edge`` per vertex count, edge position
+    and endpoint slot (120 for the 4-vertex, 6-edge catalog).
     """
     for n in range(max_vertices + 1):
         slots = endpoint_slots(n)
+        records = [[Edge(pos, t, h) for t, h in slots] for pos in range(max_edges)]
         for m in range(max_edges + 1):
-            for combo in itertools.combinations_with_replacement(slots, m):
-                yield MultiGraph.from_pairs(n, combo)
+            for combo in itertools.combinations_with_replacement(range(len(slots)), m):
+                # map stops at the end of combo, so edge i takes row i.
+                yield MultiGraph(n, tuple(map(list.__getitem__, records, combo)))
 
 
 def cycle(length: int) -> MultiGraph:

@@ -327,7 +327,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
 def cmd_check(args) -> tuple[dict, int]:
     specs = tuple(parse_group(name) for name in args.groups.split(","))
     if args.catalog == "small":
-        graphs = list(all_multigraphs(args.max_n, args.max_m))
+        graphs = all_multigraphs(args.max_n, args.max_m)
     elif args.catalog == "cycles":
         graphs = [cycle(k) for k in range(3, 7) if k <= args.max_m]
     elif args.catalog == "complete":
@@ -341,6 +341,11 @@ def cmd_check(args) -> tuple[dict, int]:
             raise ParseError("the random catalog needs --max-n >= 1 and --max-m >= 0")
         graphs = random_catalog(args.seed, 40, args.max_n, args.max_m)
     report_data = run_verification(graphs, specs, seed=args.seed, budget=args.budget)
+    if report_data.graph_count == 0:
+        raise ParseError(
+            f"the {args.catalog} catalog selects no graph under "
+            f"--max-n {args.max_n} --max-m {args.max_m}"
+        )
     suites = [suite.as_dict() for suite in report_data.suites.values()]
     suites.append(run_classical_checks().as_dict())
     ok = all(s["failures"] == 0 for s in suites)

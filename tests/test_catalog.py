@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from flowpoly.catalog import (
@@ -13,7 +14,7 @@ from flowpoly.catalog import (
     path,
     random_catalog,
 )
-from flowpoly.graphs import bridges, component_count, cycle_rank
+from flowpoly.graphs import MultiGraph, bridges, component_count, cycle_rank
 
 
 def _expected_count(max_n: int, max_m: int) -> int:
@@ -38,6 +39,25 @@ def test_catalog_counts():
 def test_catalog_graphs_are_distinct():
     graphs = list(all_multigraphs(3, 4))
     assert len(set(graphs)) == len(graphs)
+
+
+def test_catalog_graphs_match_their_pairs_in_order():
+    graphs = list(all_multigraphs(3, 4))
+    assert graphs == [MultiGraph.from_pairs(g.vertex_count, g.pairs()) for g in graphs]
+    # Vertex count, then edge count, then multisets of slots in order.
+    assert [(g.vertex_count, g.pairs()) for g in graphs] == [
+        (n, combo)
+        for n in range(4)
+        for m in range(5)
+        for combo in itertools.combinations_with_replacement(endpoint_slots(n), m)
+    ]
+
+
+def test_catalog_graphs_share_edge_records():
+    # One record per vertex count, edge position and endpoint slot:
+    # 6 positions times 0 + 1 + 3 + 6 + 10 slots.
+    records = {id(edge) for g in all_multigraphs(4, 6) for edge in g.edges}
+    assert len(records) <= 120
 
 
 def test_catalog_includes_loops_and_multiedges():

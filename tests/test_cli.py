@@ -623,6 +623,22 @@ def test_check_random_rejects_empty_size_bounds(capsys, bound):
     assert "--max-n >= 1 and --max-m >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "selection",
+    [
+        ["--catalog", "small", "--max-n", "-1"],
+        ["--catalog", "small", "--max-m", "-1"],
+        ["--catalog", "complete", "--max-n", "1"],
+        ["--catalog", "cycles", "--max-m", "2"],
+    ],
+)
+def test_check_rejects_an_empty_catalog(capsys, selection):
+    code, report, err = run_cli(capsys, "check", *selection)
+    assert code == EXIT_PARSE
+    assert report is None
+    assert "selects no graph" in err
+
+
 def test_check_rejects_trivial_group(capsys):
     code, report, err = run_cli(capsys, "check", "--groups", "Z1", "--max-n", "1")
     assert code == EXIT_PARSE
