@@ -3,8 +3,8 @@
 The polynomial that counts nowhere-zero flows with boundary b is computed
 two independent ways.  Both run edge by edge over the same cached plan,
 ``_edge_plan``, and carry the same state: the blocks of the kept edges as
-one character per vertex, each root holding its block's b-sum.  They share
-no other code.
+one character per vertex, every open vertex of a block holding one label
+that names both the block's root and its b-sum.  They share no other code.
 
 * ``poly_subset_expansion``: sum (-1)^|S| k^m(G-S) over edge subsets S whose
   removal leaves the graph compatible with b.  The terms depend on S only
@@ -36,6 +36,7 @@ the harness's per-subset lemma suites read the table.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -203,8 +204,12 @@ def poly_subset_expansion(
     states instead of subsets.  The kept edges split the vertices into
     blocks, each rooted at its least open vertex (one with edges still to
     decide).  A state is a string with one character per vertex, with q the
-    group's order: a root holds its block's b-sum as a group-element index,
-    any other open vertex q plus its root, and a closed vertex 0.  Its value
+    group's order: every open vertex of a block holds its label,
+    chr(1 + root * q + s) for the block's b-sum s as a group-element index,
+    and a closed vertex holds chr(0).  Keeping an edge between two blocks
+    replaces both labels with the merged one; closing a root moves its label
+    to the next open member.  Labels reach n * q, so BudgetError is raised
+    before any table is built when that passes ``sys.maxunicode``.  Its value
     is the sum of (-1)^|S| k^(kept edges + closed blocks) over the decided
     edges that reach it: deleting an edge negates, keeping one multiplies by
     k and merges the blocks of its ends.  A block whose last open vertex
@@ -221,29 +226,28 @@ def poly_subset_expansion(
     that sum exceeds the budget.
     """
     _check_vertex_function(g, b)
+    q = b.spec.order
+    if g.vertex_count * q > sys.maxunicode:
+        raise BudgetError(f"{g.vertex_count} vertices over {b.spec} overflow the block labels")
     require_compatible(g, b)
     _, loops, steps = _edge_plan(g)
     add, _ = index_tables(b.spec)
-    q = b.spec.order
     w = g.edge_count + 2
     closed = work = 0
     # Before its first edge every vertex is a block of its own.
-    states = {"".join(map(chr, b.indices)): 1}
+    states = {"".join([chr(1 + v * q + s) for v, s in enumerate(b.indices)]): 1}
     for x, y, closing in steps:
-        out: dict[str, int] = {}
+        out = {codes: -value for codes, value in states.items()}
         get = out.get
         for codes, value in states.items():
-            out[codes] = get(codes, 0) - value
-            a = ord(codes[x])
-            a = x if a < q else a - q
-            c = ord(codes[y])
-            c = y if c < q else c - q
-            if a != c:
-                if a > c:
-                    a, c = c, a
-                codes = codes.replace(chr(q + c), chr(q + a))
-                joined = chr(add[ord(codes[a])][ord(codes[c])])
-                codes = codes[:a] + joined + codes[a + 1 : c] + chr(q + a) + codes[c + 1 :]
+            la = codes[x]
+            lc = codes[y]
+            if la != lc:
+                if la > lc:  # la's block has the lesser root
+                    la, lc = lc, la
+                sa = (ord(la) - 1) % q
+                joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
+                codes = codes.replace(la, joined).replace(lc, joined)
             out[codes] = get(codes, 0) + (value << w)
         work += len(out)
         _guard(work, budget, "plan states")
@@ -254,20 +258,17 @@ def poly_subset_expansion(
         states = {}
         for codes, value in out.items():
             for v in closing:
-                code = codes[v]
-                if ord(code) >= q:
-                    codes = codes[:v] + "\0" + codes[v + 1 :]
-                    continue
-                # v roots its block
-                mark = chr(q + v)
-                r = codes.find(mark)
-                if r >= 0:  # the block goes on, rooted at its least open vertex r
-                    codes = codes.replace(mark, chr(q + r))
-                    codes = codes[:v] + "\0" + codes[v + 1 : r] + code + codes[r + 1 :]
-                elif code != "\0":
-                    break  # the block closes with a nonzero b-sum
-                else:
-                    value <<= w
+                label = codes[v]
+                rest = codes[v + 1 :]  # every other open vertex of v's block, if v roots it
+                if ord(label) > v * q:  # v roots its block
+                    r = rest.find(label)
+                    if r >= 0:  # the block goes on, rooted at its least open vertex
+                        rest = rest.replace(label, chr(ord(label) + (r + 1) * q))
+                    elif ord(label) - 1 - v * q:
+                        break  # the block closes with a nonzero b-sum
+                    else:
+                        value <<= w
+                codes = codes[:v] + "\0" + rest
             else:
                 states[codes] = states.get(codes, 0) + value
     total = sum(states.values()) >> w * closed
@@ -396,10 +397,12 @@ def poly_nbb(
     over states instead of subsets.  The kept edges split the vertices into
     blocks, each rooted at its least open vertex (one with edges still to
     decide).  A state is a pair.  Its string has one character per vertex,
-    with q the group's order: a root holds its block's b-sum as a
-    group-element index, any other open vertex q plus its root, and a closed
-    vertex 0.  Its int, live, has the bits of the broken bonds whose first
-    edge is decided and whose edges so far are all deleted.  Deleting the
+    with q the group's order: every open vertex of a block holds its label,
+    chr(1 + root * q + s) for the block's b-sum s as a group-element index,
+    and a closed vertex holds chr(0); labels reach n * q, and BudgetError is
+    raised before any table is built when that passes ``sys.maxunicode``.
+    Its int, live, has the bits of the broken bonds whose first edge is
+    decided and whose edges so far are all deleted.  Deleting the
     last edge of a live bond would put the bond inside S, so that branch is
     dropped; keeping an edge of a bond clears its bit.  A block whose last
     open vertex closes with a nonzero b-sum leaves G - S incompatible and
@@ -411,6 +414,9 @@ def poly_nbb(
     walked for the broken bonds are not counted.
     """
     _check_vertex_function(g, b)
+    q = b.spec.order
+    if g.vertex_count * q > sys.maxunicode:
+        raise BudgetError(f"{g.vertex_count} vertices over {b.spec} overflow the block labels")
     _, loops, steps = _edge_plan(g)
     rank = None if order is None else _plan_ranks(g, order)
     require_compatible(g, b)
@@ -433,11 +439,10 @@ def poly_nbb(
             inside[low.bit_length() - 1] |= bit
             mask ^= low
     add, _ = index_tables(b.spec)
-    q = b.spec.order
     w = g.edge_count + 2
     work = 0
     # Before its first edge every vertex is a block of its own.
-    states = {("".join(map(chr, b.indices)), 0): 1}
+    states = {("".join([chr(1 + v * q + s) for v, s in enumerate(b.indices)]), 0): 1}
     for (x, y, closing), first, last, within in zip(steps, start, end, inside):
         out: dict[tuple[str, int], int] = {}
         get = out.get
@@ -445,16 +450,14 @@ def poly_nbb(
             if not last & (live | first):
                 key = (codes, (live | first) & ~last)
                 out[key] = get(key, 0) + (value << w)
-            a = ord(codes[x])
-            a = x if a < q else a - q
-            c = ord(codes[y])
-            c = y if c < q else c - q
-            if a != c:
-                if a > c:
-                    a, c = c, a
-                codes = codes.replace(chr(q + c), chr(q + a))
-                joined = chr(add[ord(codes[a])][ord(codes[c])])
-                codes = codes[:a] + joined + codes[a + 1 : c] + chr(q + a) + codes[c + 1 :]
+            la = codes[x]
+            lc = codes[y]
+            if la != lc:
+                if la > lc:  # la's block has the lesser root
+                    la, lc = lc, la
+                sa = (ord(la) - 1) % q
+                joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
+                codes = codes.replace(la, joined).replace(lc, joined)
             key = (codes, live & ~within)
             out[key] = get(key, 0) + value
         work += len(out)
@@ -465,18 +468,15 @@ def poly_nbb(
         states = {}
         for (codes, live), value in out.items():
             for v in closing:
-                code = codes[v]
-                if ord(code) >= q:
-                    codes = codes[:v] + "\0" + codes[v + 1 :]
-                    continue
-                # v roots its block
-                mark = chr(q + v)
-                r = codes.find(mark)
-                if r >= 0:  # the block goes on, rooted at its least open vertex r
-                    codes = codes.replace(mark, chr(q + r))
-                    codes = codes[:v] + "\0" + codes[v + 1 : r] + code + codes[r + 1 :]
-                elif code != "\0":
-                    break  # the block closes with a nonzero b-sum
+                label = codes[v]
+                rest = codes[v + 1 :]  # every other open vertex of v's block, if v roots it
+                if ord(label) > v * q:  # v roots its block
+                    r = rest.find(label)
+                    if r >= 0:  # the block goes on, rooted at its least open vertex
+                        rest = rest.replace(label, chr(ord(label) + (r + 1) * q))
+                    elif ord(label) - 1 - v * q:
+                        break  # the block closes with a nonzero b-sum
+                codes = codes[:v] + "\0" + rest
             else:
                 key = (codes, live)
                 states[key] = states.get(key, 0) + value

@@ -329,7 +329,7 @@ def cmd_check(args) -> tuple[dict, int]:
     if args.catalog == "small":
         graphs = all_multigraphs(args.max_n, args.max_m)
     elif args.catalog == "cycles":
-        graphs = [cycle(k) for k in range(3, 7) if k <= args.max_m]
+        graphs = [cycle(k) for k in range(3, 7) if k <= args.max_n and k <= args.max_m]
     elif args.catalog == "complete":
         graphs = [
             complete(k)

@@ -24,7 +24,7 @@ from flowpoly.assigning import (
     poly_nbb,
     poly_subset_expansion,
 )
-from flowpoly.catalog import complete
+from flowpoly.catalog import complete, cycle, path
 from flowpoly.errors import BudgetError, IncompatibleError, InputError
 from flowpoly.flows import (
     BFunction,
@@ -128,6 +128,26 @@ def test_plan_states_guard_both_routes():
     with pytest.raises(BudgetError, match="plan states"):
         poly_nbb(g, b, budget=1000)
     assert poly_subset_expansion(g, b) == poly_nbb(g, b)
+
+
+@pytest.mark.parametrize("route", [poly_subset_expansion, poly_nbb], ids=["subset", "nbb"])
+def test_block_labels_must_fit_one_character(monkeypatch, route):
+    # A block's label is 1 + root * q + its b-sum, at most n * q.  543
+    # vertices over Z2048 fit below sys.maxunicode; 544 do not, and the
+    # route stops before it builds any group table.
+    class TableBuilt(Exception):
+        pass
+
+    def no_tables(spec):
+        raise TableBuilt
+
+    monkeypatch.setattr(assigning, "index_tables", no_tables)
+    monkeypatch.setattr(flows, "index_tables", no_tables)
+    spec = parse_group("Z2048")
+    with pytest.raises(TableBuilt):
+        route(path(543), BFunction.zero(spec, 543))
+    with pytest.raises(BudgetError, match="block labels"):
+        route(path(544), BFunction.zero(spec, 544))
 
 
 def _literal_subsets(g: MultiGraph) -> list[tuple[MultiGraph, int, int]]:
@@ -360,6 +380,84 @@ def test_w12_zero_boundary_closed_form():
     closed_form = IntPolynomial(tuple(shifted))
     assert poly_subset_expansion(w12, BFunction.zero(Z3, 13)) == closed_form
     assert poly_nbb(w12, BFunction.zero(Z3, 13)) == closed_form
+
+
+# ---------------------------------------------------------------------------
+# Closed forms, at sizes the catalogs never reach.
+
+CLOSED_FORM_GROUPS = tuple(parse_group(name) for name in ("Z5", "Z2xZ3", "Z3xZ3"))
+
+
+def _cycle_with_partial_sums(n: int, spec, rng: random.Random) -> BFunction:
+    """A zero-sum b on C_n whose partial sums take few distinct values."""
+    pool = [spec.element_at(i) for i in rng.sample(range(spec.order), rng.randint(1, 3))]
+    sums = [spec.zero] + [rng.choice(pool) for _ in range(n - 1)] + [spec.zero]
+    values = [spec.add(sums[v], spec.negate(sums[v - 1])) for v in range(1, n)]
+    return BFunction(spec, tuple([spec.negate(sums[n - 1])] + values))
+
+
+def _distinct_partial_sums(b: BFunction) -> int:
+    spec = b.spec
+    total, seen = spec.zero, {spec.zero}
+    for value in b.values:
+        total = spec.add(total, value)
+        seen.add(total)
+    return len(seen)
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_GROUPS, ids=str)
+def test_cycles_count_k_minus_the_distinct_partial_sums(spec):
+    # On C_n an (A, b)-flow is f_0 shifted by the partial sums of b, and it
+    # is nowhere zero unless f_0 cancels one of them.
+    rng = random.Random(f"cycles {spec}")
+    for n in range(1, 41):
+        g = cycle(n)
+        b = _cycle_with_partial_sums(n, spec, rng)
+        expected = IntPolynomial((-_distinct_partial_sums(b), 1))
+        assert poly_subset_expansion(g, b) == expected
+        assert poly_nbb(g, b) == expected
+
+
+def test_long_cycle_labels_pass_the_surrogate_block():
+    # C250 over Z256 labels its blocks up to 250 * 256, past U+D800-U+DFFF.
+    spec = parse_group("Z256")
+    b = _cycle_with_partial_sums(250, spec, random.Random(5))
+    d = _distinct_partial_sums(b)
+    assert d > 1
+    assert poly_subset_expansion(cycle(250), b) == IntPolynomial((-d, 1))
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_GROUPS, ids=str)
+def test_dipoles_match_their_closed_form(spec):
+    # m parallel edges between two vertices, with b = (beta, -beta).
+    beta = spec.element_at(1)
+    for m in range(1, 151):
+        g = MultiGraph.from_pairs(2, [(0, 1) if i % 3 else (1, 0) for i in range(m)])
+        for value in (spec.zero, beta):
+            b = BFunction(spec, (value, spec.negate(value)))
+            polys = (poly_subset_expansion(g, b), poly_nbb(g, b))
+            for k in (2, 3, 7, 11, 1000):
+                if value == spec.zero:
+                    expected = ((k - 1) ** m + (-1) ** m * (k - 1)) // k
+                else:
+                    expected = ((k - 1) ** m - (-1) ** m) // k
+                assert [poly.eval(k) for poly in polys] == [expected, expected]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_GROUPS, ids=str)
+def test_wheels_at_zero_boundary_match_their_closed_form(spec):
+    for n in range(3, 31):
+        wheel = MultiGraph.from_pairs(
+            n + 1, [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
+        )
+        # (k - 2)^n + (-1)^n (k - 2)
+        coefficients = [math.comb(n, i) * (-2) ** (n - i) for i in range(n + 1)]
+        coefficients[1] += (-1) ** n
+        coefficients[0] -= 2 * (-1) ** n
+        expected = IntPolynomial(tuple(coefficients))
+        b = BFunction.zero(spec, n + 1)
+        assert poly_subset_expansion(wheel, b) == expected
+        assert poly_nbb(wheel, b) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,22 @@ def test_poly_group_above_the_table_limit_exits_resource(capsys, k2_file):
     assert "too large for table-based enumeration" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--algorithm", "subset"], ["--algorithm", "nbb", "--budget", str(1 << 545)]],
+    ids=["subset", "nbb"],
+)
+def test_poly_block_labels_past_sys_maxunicode_exit_resource(capsys, tmp_path, flags):
+    # 544 vertices over Z2048 need labels up to 544 * 2048 = sys.maxunicode + 1.
+    # The nbb route first checks its 2^544 vertex subsets against --budget.
+    target = tmp_path / "path544.graph"
+    target.write_text("544 543\n" + "".join(f"{v} {v + 1}\n" for v in range(543)))
+    code, report, err = run_cli(capsys, "poly", str(target), "--group", "Z2048", *flags)
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert err == "resource guard: 544 vertices over Z2048 overflow the block labels\n"
+
+
 def _wheel_file(tmp_path, rim: int, extra: int = 0) -> str:
     """The wheel with rim vertices 0..rim-1 and hub rim, plus extra hub loops."""
     pairs = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]
@@ -570,6 +586,12 @@ def test_check_cycles_catalog(capsys):
     assert report["pass"] is True
 
 
+def test_check_cycles_catalog_honours_max_n(capsys):
+    code, report, _ = run_cli(capsys, "check", "--catalog", "cycles", "--groups", "Z2", "--max-n", "3")
+    assert code == 0
+    assert report["graphs"] == 1
+
+
 def test_check_honours_budget(capsys):
     code, report, err = run_cli(
         capsys, "check", "--catalog", "complete", "--max-n", "4", "--budget", "1"
@@ -630,6 +652,7 @@ def test_check_random_rejects_empty_size_bounds(capsys, bound):
         ["--catalog", "small", "--max-m", "-1"],
         ["--catalog", "complete", "--max-n", "1"],
         ["--catalog", "cycles", "--max-m", "2"],
+        ["--catalog", "cycles", "--max-n", "2"],
     ],
 )
 def test_check_rejects_an_empty_catalog(capsys, selection):
