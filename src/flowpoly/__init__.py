@@ -70,10 +70,10 @@ def clear_caches() -> None:
         graphs.components,
         graphs._lambda_family_cached,
         graphs.bond_sides,
+        graphs.side_cuts,
+        graphs._edge_plan,
         flows._boundary_histogram,
         assigning._structure,
-        assigning._edge_plan,
-        assigning._plan_bonds,
     ):
         cache.cache_clear()
 

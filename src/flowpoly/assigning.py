@@ -2,9 +2,10 @@
 
 The polynomial that counts nowhere-zero flows with boundary b is computed
 two independent ways.  Both run edge by edge over the same cached plan,
-``_edge_plan``, and carry the same state: the blocks of the kept edges as
-one character per vertex, every open vertex of a block holding one label
-that names both the block's root and its b-sum.  They share no other code.
+``graphs._edge_plan``, and carry the same state: the blocks of the kept
+edges as one character per vertex, every open vertex of a block holding one
+label that names both the block's root and its b-sum.  They share no other
+code.
 
 * ``poly_subset_expansion``: sum (-1)^|S| k^m(G-S) over edge subsets S whose
   removal leaves the graph compatible with b.  The terms depend on S only
@@ -15,13 +16,13 @@ that names both the block's root and its b-sum.  They share no other code.
   subsets containing no compatible broken bond for a chosen edge order.
   Whether a partial S can still be completed depends only on its blocks and
   on which broken bonds it has wholly deleted so far, so the subsets are
-  counted by size over those states.  The bonds are cached per graph as
-  pairs of masks, ``_plan_bonds``: the side X holding its component's least
-  vertex, and the cut E[X, W - X] in the plan's edge bits, grown by XOR-ing
-  in each vertex's incidence mask as the side takes it.  A bond of a
-  b-compatible graph is compatible exactly when b sums to zero on X, and
-  its broken bond is the cut minus its top-ranked bit.  ``b_compatible_bonds``
-  and ``broken_bonds`` apply the same rule and turn the masks into edge ids.
+  counted by size over those states.  The bonds come from the one cached
+  walk of ``graphs.side_cuts`` as pairs of masks: the side X holding its
+  component's least vertex, and the cut E[X, W - X] in the plan's edge
+  bits.  A bond of a b-compatible graph is compatible exactly when b sums
+  to zero on X, and its broken bond is the cut minus its top-ranked bit.
+  ``b_compatible_bonds`` and ``broken_bonds`` apply the same rule and turn
+  the masks into edge ids.
 
 Both polynomials depend on b only through its assigning α, which
 ``induced_assigning`` returns as an int with one bit per member of
@@ -39,7 +40,6 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
@@ -55,8 +55,9 @@ from .flows import (
 from .graphs import (
     EdgeSet,
     MultiGraph,
-    _bits,
+    _edge_plan,
     _lambda_family_cached,
+    _plan_edge_sets,
     cycle_rank,
     side_cuts,
 )
@@ -299,7 +300,8 @@ def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
     """
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    return _edge_sets(g, [cut for cut, _ in _compatible_bonds(g, b, None)])
+    cuts = [cut for cut, _ in _compatible_bonds(g, b, None)]
+    return sorted(_plan_edge_sets(g, cuts), key=sorted)
 
 
 def broken_bonds(
@@ -313,13 +315,8 @@ def broken_bonds(
     rank = _plan_ranks(g, order or EdgeOrder.default(g))
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    return _edge_sets(g, {mask for _, mask in _compatible_bonds(g, b, rank)})
-
-
-def _edge_sets(g: MultiGraph, masks: Iterable[int]) -> list[EdgeSet]:
-    """Plan-bit masks as edge-id sets, sorted lexicographically."""
-    ids = tuple(_edge_plan(g)[0])  # edge ids by plan bit
-    return sorted([frozenset([ids[i] for i in _bits(mask)]) for mask in masks], key=sorted)
+    masks = {mask for _, mask in _compatible_bonds(g, b, rank)}
+    return sorted(_plan_edge_sets(g, masks), key=sorted)
 
 
 def _plan_ranks(g: MultiGraph, order: EdgeOrder) -> list[int]:
@@ -346,7 +343,7 @@ def _compatible_bonds(
     add, _ = index_tables(b.spec)
     nonzero = [(1 << v, i) for v, i in enumerate(b.indices) if i]
     out = []
-    for side, cut in _plan_bonds(g):
+    for side, cut in side_cuts(g):
         total = 0
         for bit, i in nonzero:
             if side & bit:
@@ -384,8 +381,8 @@ def poly_nbb(
     under the plan's own order: the non-loop edges by their step, then the
     loops.  ``broken_bonds`` with no order still takes the edge ids.
 
-    The bonds come from ``_plan_bonds``: a side mask, and a cut mask with
-    bit r for the edge of step r.  A bond is compatible when b sums to zero
+    The bonds come from ``side_cuts``: a side mask, and a cut mask with bit
+    r for the edge of step r.  A bond is compatible when b sums to zero
     on its side, and its broken bond is the cut minus its top-ranked bit:
     the highest bit under the plan's order, else the bit whose edge comes
     last in the given order.  Duplicates merge as ints; no edge-id set is
@@ -494,90 +491,6 @@ def poly_nbb(
             )
         counts[size] = count
     return IntPolynomial.from_signless(counts, top)
-
-
-# (x, y, closing) per decided edge; see _edge_plan.
-_Decision = tuple[int, int, tuple[int, ...]]
-
-
-@lru_cache(maxsize=4096)
-def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
-    """(2^rank for each non-loop edge id, by rank, loop count, steps) for both routes.
-
-    Vertices are placed one at a time, each component from its least vertex,
-    and a placed vertex brings its edges to the vertices placed before it, in
-    edge-list order.  Both routes build more states the more vertices are
-    open (placed, with edges still to decide), so the next vertex is the
-    unplaced neighbour of the placed ones that leaves the fewest open: +1 if
-    it keeps edges to unplaced vertices, -1 for each placed neighbour with
-    one edge left, which it closes.  That misses a neighbour whose last edges
-    are all parallel edges to it, which costs width, never correctness.  Ties
-    go to the most edges back to placed vertices, then the least label.
-    Step r decides the edge of rank r, between vertices x and y; afterwards
-    the vertices in closing have no edge left to decide.
-    """
-    n = g.vertex_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    loops = 0
-    for edge in g.edges:
-        x, y = edge.tail, edge.head
-        if x == y:
-            loops += 1
-        else:
-            adj[x].append((y, edge.id))
-            adj[y].append((x, edge.id))
-    left = [len(ends) for ends in adj]  # edges still to decide
-    back = [0] * n  # edges to placed vertices
-    placed = [False] * n
-    edge_bit: dict[int, int] = {}
-    steps: list[_Decision] = []
-    for root in range(n):
-        if placed[root]:
-            continue
-        frontier = [root]  # unplaced vertices next to placed ones
-        while frontier:
-            v = frontier[0]
-            if len(frontier) > 1:
-                best = None
-                for z in frontier:
-                    opened = left[z] > back[z]
-                    for u, _ in adj[z]:
-                        if placed[u] and left[u] == 1:
-                            opened -= 1
-                    key = (opened, -back[z], z)
-                    if best is None or key < best:
-                        v, best = z, key
-            frontier.remove(v)
-            placed[v] = True
-            for u, edge_id in adj[v]:
-                if placed[u]:
-                    edge_bit[edge_id] = 1 << len(steps)
-                    left[u] -= 1
-                    left[v] -= 1
-                    # Spelled out: building a filtered tuple costs about as
-                    # much as the rest of the step on small graphs.
-                    if left[u]:
-                        closing = () if left[v] else (v,)
-                    else:
-                        closing = (u,) if left[v] else (u, v)
-                    steps.append((u, v, closing))
-                else:
-                    if not back[u]:
-                        frontier.append(u)
-                    back[u] += 1
-    return edge_bit, loops, tuple(steps)
-
-
-@lru_cache(maxsize=4096)
-def _plan_bonds(g: MultiGraph) -> tuple[tuple[int, int], ...]:
-    """(side, cut) for every bond of g: the anchored side as a vertex mask
-    and the cut in the bits of ``_edge_plan``, from one ``side_cuts`` walk."""
-    _, _, steps = _edge_plan(g)
-    incidence = [0] * g.vertex_count
-    for r, (x, y, _) in enumerate(steps):
-        incidence[x] |= 1 << r
-        incidence[y] |= 1 << r
-    return tuple(side_cuts(g, incidence))
 
 
 @dataclass(frozen=True)

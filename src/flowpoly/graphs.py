@@ -6,6 +6,10 @@ default total order on edges, so subgraph operations preserve the original
 ids (they stay strictly increasing but may become sparse).  ``broken_bonds``
 takes that order when given none; ``poly_nbb`` counts under its edge plan's
 order instead, since its coefficients do not depend on the order.
+
+The edge plan that both polynomial routes run over, ``_edge_plan``, lives
+here, as does ``side_cuts``: the one cached walk over bond sides, which
+every reader of bonds shares.
 """
 
 from __future__ import annotations
@@ -160,6 +164,78 @@ def _adjacency(g: MultiGraph) -> list[list[int]]:
     return adj
 
 
+# (x, y, closing) per decided edge; see _edge_plan.
+_Decision = tuple[int, int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
+    """(2^rank for each non-loop edge id, by rank, loop count, steps) for both routes.
+
+    Vertices are placed one at a time, each component from its least vertex,
+    and a placed vertex brings its edges to the vertices placed before it, in
+    edge-list order.  Both routes build more states the more vertices are
+    open (placed, with edges still to decide), so the next vertex is the
+    unplaced neighbour of the placed ones that leaves the fewest open: +1 if
+    it keeps edges to unplaced vertices, -1 for each placed neighbour with
+    one edge left, which it closes.  That misses a neighbour whose last edges
+    are all parallel edges to it, which costs width, never correctness.  Ties
+    go to the most edges back to placed vertices, then the least label.
+    Step r decides the edge of rank r, between vertices x and y; afterwards
+    the vertices in closing have no edge left to decide.
+    """
+    n = g.vertex_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    loops = 0
+    for edge in g.edges:
+        x, y = edge.tail, edge.head
+        if x == y:
+            loops += 1
+        else:
+            adj[x].append((y, edge.id))
+            adj[y].append((x, edge.id))
+    left = [len(ends) for ends in adj]  # edges still to decide
+    back = [0] * n  # edges to placed vertices
+    placed = [False] * n
+    edge_bit: dict[int, int] = {}
+    steps: list[_Decision] = []
+    for root in range(n):
+        if placed[root]:
+            continue
+        frontier = [root]  # unplaced vertices next to placed ones
+        while frontier:
+            v = frontier[0]
+            if len(frontier) > 1:
+                best = None
+                for z in frontier:
+                    opened = left[z] > back[z]
+                    for u, _ in adj[z]:
+                        if placed[u] and left[u] == 1:
+                            opened -= 1
+                    key = (opened, -back[z], z)
+                    if best is None or key < best:
+                        v, best = z, key
+            frontier.remove(v)
+            placed[v] = True
+            for u, edge_id in adj[v]:
+                if placed[u]:
+                    edge_bit[edge_id] = 1 << len(steps)
+                    left[u] -= 1
+                    left[v] -= 1
+                    # Spelled out: building a filtered tuple costs about as
+                    # much as the rest of the step on small graphs.
+                    if left[u]:
+                        closing = () if left[v] else (v,)
+                    else:
+                        closing = (u,) if left[v] else (u, v)
+                    steps.append((u, v, closing))
+                else:
+                    if not back[u]:
+                        frontier.append(u)
+                    back[u] += 1
+    return edge_bit, loops, tuple(steps)
+
+
 def bonds(g: MultiGraph) -> list[EdgeSet]:
     """All bonds (minimal nonempty edge cuts), each once, lexicographic.
 
@@ -176,31 +252,23 @@ def bond_sides(g: MultiGraph) -> tuple[tuple[EdgeSet, VertexSet], ...]:
 
     X is the half holding the least vertex of W, which also deduplicates the
     two halves; every such X is a member of the lambda family.  This is the
-    frozenset view of ``side_cuts`` with one bit per edge position, so it
-    costs one pruned walk over the connected sides that hold the anchor.
-    ``poly_nbb`` reads the same walk with one bit per step of its edge plan:
-    a bond is compatible by its side's b-sum, and its broken bond is its cut
-    mask minus the top-ranked bit.
+    frozenset view of ``side_cuts``, the one walk over bond sides that the
+    broken-bond route reads as masks.
     """
-    incidence = [0] * g.vertex_count
-    for pos, e in enumerate(g.edges):
-        incidence[e.tail] ^= 1 << pos
-        incidence[e.head] ^= 1 << pos  # a loop's bit cancels
-    ids = g.edge_ids
-    found = [
-        (frozenset([ids[pos] for pos in _bits(cut)]), frozenset(_bits(side)))
-        for side, cut in side_cuts(g, incidence)
-    ]
+    cuts = side_cuts(g)
+    edge_sets = _plan_edge_sets(g, [cut for _, cut in cuts])
+    found = [(bond, frozenset(_bits(side))) for bond, (side, _) in zip(edge_sets, cuts)]
     return tuple(sorted(found, key=lambda pair: sorted(pair[0])))
 
 
-def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
+@lru_cache(maxsize=4096)
+def side_cuts(g: MultiGraph) -> tuple[tuple[int, int], ...]:
     """(X, E[X, W - X]) as masks for every bond, in no particular order.
 
     X is a vertex mask: the connected side holding the least vertex of its
-    component W, with W - X connected too.  The cut is the XOR of the masks
-    incidence[v] over v in X, so with one bit per non-loop edge in each of
-    its ends' masks it has exactly the edges leaving X.
+    component W, with W - X connected too.  The cut has bit r for the edge
+    that step r of ``_edge_plan`` decides, and is grown by XOR-ing in each
+    vertex's mask of incident steps as the side takes it; loops have no bit.
 
     The walk grows connected sides from the anchor, and each side it grows
     costs one reach through W - X: from the least vertex the side may not
@@ -208,13 +276,17 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
     the reach covers W - X, X is a bond's side.  If it misses a vertex the
     side may not take, no larger side leaves a connected complement, since
     those vertices stay outside every larger side, and the walk goes no
-    further from X.
+    further from X.  If it starts from a vertex the side may not take and
+    misses only vertices the side may take, every larger side with a
+    connected complement takes those, so X takes them in one step.
     """
     near = [0] * g.vertex_count  # neighbour bitmasks
-    for e in g.edges:
-        if not e.is_loop:
-            near[e.tail] |= 1 << e.head
-            near[e.head] |= 1 << e.tail
+    incidence = [0] * g.vertex_count  # incident steps
+    for r, (x, y, _) in enumerate(_edge_plan(g)[2]):
+        near[x] |= 1 << y
+        near[y] |= 1 << x
+        incidence[x] |= 1 << r
+        incidence[y] |= 1 << r
 
     def reach(start: int, mask: int) -> int:
         """The vertices of mask connected to the vertex bit start within mask."""
@@ -247,10 +319,18 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
                 continue
             start = banned or rest
             reached = reach(start & -start, rest)
+            if banned and reached != rest:
+                if banned & ~reached:
+                    continue
+                # The missed parts of W - X touch only X, so taking them
+                # adds no neighbour to ext.
+                for v in _bits(rest ^ reached):
+                    cut ^= incidence[v]
+                side |= rest ^ reached
+                ext &= reached
+                rest = reached
             if reached == rest:
                 found.append((side, cut))
-            elif banned & ~reached:
-                continue
             while ext:
                 low = ext & -ext
                 ext ^= low
@@ -260,7 +340,13 @@ def side_cuts(g: MultiGraph, incidence: list[int]) -> list[tuple[int, int]]:
                     (grown, ext | near[v] & ~grown & ~banned, banned, cut ^ incidence[v])
                 )
                 banned |= low
-    return found
+    return tuple(found)
+
+
+def _plan_edge_sets(g: MultiGraph, masks: Iterable[int]) -> list[EdgeSet]:
+    """Masks in the bits of ``_edge_plan`` as edge-id sets, in the given order."""
+    ids = tuple(_edge_plan(g)[0])  # edge ids by plan bit
+    return [frozenset([ids[i] for i in _bits(mask)]) for mask in masks]
 
 
 def _bits(mask: int) -> Iterator[int]:

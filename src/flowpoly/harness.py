@@ -175,7 +175,7 @@ def _check_graph(
         for b in enumerate_zero_sum(g, spec, budget=budget):
             report.instance_count += 1
             alpha = asg.induced_assigning(g, b)
-            brute = count_nz_flows_bruteforce(g, b, budget=budget)
+            brute = hist.get(b.indices, 0)
             cls = classes.get(alpha)
             if cls is None:
                 poly = asg.poly_subset_expansion(g, b, budget=budget)

@@ -611,7 +611,7 @@ def _prism_relabelled() -> MultiGraph:
 
 def _plan_order(g: MultiGraph) -> EdgeOrder:
     """The non-loop edge ids by their step in the edge plan, then the loops."""
-    edge_bit, _, _ = assigning._edge_plan(g)
+    edge_bit, _, _ = graphs._edge_plan(g)
     loops = tuple(edge.id for edge in g.edges if edge.is_loop)
     return EdgeOrder(tuple(sorted(edge_bit, key=edge_bit.__getitem__)) + loops)
 
@@ -717,6 +717,22 @@ def test_poly_nbb_reads_no_edge_id_sets(monkeypatch):
     assert poly_nbb(g, b, EdgeOrder.shuffled(g, random.Random(5))) == expected
 
 
+def test_every_bond_reader_shares_one_walk():
+    # bonds, the lambda family, the assigning, both bond lists and poly_nbb
+    # all read the one cached side walk.
+    g = _prism_relabelled()
+    b = _random_compatible_b(g, Z3, random.Random(6))
+    flowpoly.clear_caches()
+    bonds(g)
+    lambda_family(g)
+    induced_assigning(g, b)
+    b_compatible_bonds(g, b)
+    broken_bonds(g, b)
+    broken_bonds(g, b, EdgeOrder.shuffled(g, random.Random(7)))
+    poly_nbb(g, b)
+    assert graphs.side_cuts.cache_info().misses == 1
+
+
 def _seeded_multigraphs(seed: int, count: int) -> list[MultiGraph]:
     """Random multigraphs with n <= 7 and m <= 12; about a third lose an edge
     afterwards, so that their edge ids are sparse."""
@@ -782,7 +798,7 @@ def test_bond_lists_match_their_definition():
 
 def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():
     for g in DIFFERENTIAL:
-        edge_bit, loops, steps = assigning._edge_plan(g)
+        edge_bit, loops, steps = graphs._edge_plan(g)
         ends = {e.id: {e.tail, e.head} for e in g.edges if not e.is_loop}
         assert loops == g.edge_count - len(ends)
         assert set(edge_bit) == set(ends)
@@ -800,10 +816,7 @@ def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():
 
 def test_side_cuts_match_their_definition():
     for g in DIFFERENTIAL + [petersen()]:
-        incidence = [0] * g.vertex_count
-        for pos, e in enumerate(g.edges):
-            incidence[e.tail] ^= 1 << pos
-            incidence[e.head] ^= 1 << pos
+        edge_bit, _, _ = graphs._edge_plan(g)
         expected = []
         for comp in components(g):
             anchor, others = min(comp), sorted(comp - {min(comp)})
@@ -815,12 +828,12 @@ def test_side_cuts_match_their_definition():
                         for part in (side, comp - side)
                     ):
                         cut = sum(
-                            1 << pos
-                            for pos, e in enumerate(g.edges)
+                            edge_bit[e.id]
+                            for e in g.edges
                             if (e.tail in side) != (e.head in side)
                         )
                         expected.append((sum(1 << v for v in side), cut))
-        found = side_cuts(g, incidence)
+        found = side_cuts(g)
         assert sorted(found) == sorted(expected), g
 
 
@@ -1002,10 +1015,10 @@ def test_clear_caches_empties_every_cache():
         graphs.components,
         graphs._lambda_family_cached,
         graphs.bond_sides,
+        graphs.side_cuts,
+        graphs._edge_plan,
         flows._boundary_histogram,
         assigning._structure,
-        assigning._edge_plan,
-        assigning._plan_bonds,
     )
     lambda_family(complete(4))
     bonds(complete(4))

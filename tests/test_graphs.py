@@ -206,6 +206,28 @@ def test_bond_sides_where_growth_prunes(g, count):
         )
 
 
+def _seeded_tree(n: int, seed: int) -> MultiGraph:
+    """A random tree: each vertex after the first hangs from an earlier one,
+    then the labels and the edge list are shuffled."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(pairs)
+    return MultiGraph.from_pairs(n, [(label[t], label[h]) for t, h in pairs])
+
+
+@pytest.mark.parametrize(
+    "g", [MultiGraph.from_pairs(301, [(0, v) for v in range(1, 301)]), _seeded_tree(300, 9)]
+)
+def test_tree_bonds_are_its_edges(g):
+    # Most sides of a star or a tree leave W - X in pieces.  The walk takes
+    # the pieces every larger bond side must hold in one step; growing into
+    # them one vertex at a time costs cubic time.
+    assert bonds(g) == [frozenset([edge_id]) for edge_id in g.edge_ids]
+    assert len(lambda_family(g)) == 2 * (g.vertex_count - 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(max_vertices=6, max_edges=10))
 def test_bonds_match_bruteforce_minimal_cuts(g):

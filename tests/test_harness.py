@@ -54,15 +54,24 @@ def test_harness_detects_wrong_nbb(monkeypatch):
     assert report["algorithm_equivalence"].first_failure is not None
 
 
-def test_harness_detects_wrong_counts(monkeypatch):
+def _shift_brute_force_counts(monkeypatch) -> None:
+    """Make the harness read every brute-force count one too high."""
     import flowpoly.harness as harness
 
-    real = harness.count_nz_flows_bruteforce
+    real = harness.nz_flow_index_counts
 
-    def corrupted(g, b, **kwargs):
-        return real(g, b, **kwargs) + 1
+    class Shifted(dict):
+        def get(self, key, default=0):
+            return super().get(key, default) + 1
 
-    monkeypatch.setattr(harness, "count_nz_flows_bruteforce", corrupted)
+    def corrupted(g, spec, **kwargs):
+        return Shifted(real(g, spec, **kwargs))
+
+    monkeypatch.setattr(harness, "nz_flow_index_counts", corrupted)
+
+
+def test_harness_detects_wrong_counts(monkeypatch):
+    _shift_brute_force_counts(monkeypatch)
     report = run_verification([single_loop()], (parse_group("Z3"),), seed=0)
     assert not report.passed
     assert report["oracle_equivalence"].failures > 0
@@ -71,14 +80,7 @@ def test_harness_detects_wrong_counts(monkeypatch):
 def test_decomposition_suite_sees_wrong_counts(monkeypatch):
     # The decomposition sums come from the oracle loop's own brute-force
     # counts, so a shifted count must fail that suite too.
-    import flowpoly.harness as harness
-
-    real = harness.count_nz_flows_bruteforce
-
-    def corrupted(g, b, **kwargs):
-        return real(g, b, **kwargs) + 1
-
-    monkeypatch.setattr(harness, "count_nz_flows_bruteforce", corrupted)
+    _shift_brute_force_counts(monkeypatch)
     report = run_verification([triangle(), single_edge()], default_groups(), seed=0)
     assert report["decomposition"].checked == 8
     assert report["decomposition"].failures == 8
