@@ -3,9 +3,11 @@
 The polynomial that counts nowhere-zero flows with boundary b is computed
 two independent ways.  Both run edge by edge over the same cached plan,
 ``graphs._edge_plan``, and carry the same state: the blocks of the kept
-edges as one character per vertex, every open vertex of a block holding one
-label that names both the block's root and its b-sum.  They share no other
-code.
+edges as one character per vertex not yet closed, in the plan's closing
+order, every vertex of a block holding one label that names both the
+block's root (the member that closes last) and its b-sum.  A step closes
+the next vertices of that order, so closing drops a prefix of the string.
+They share no other code.
 
 * ``poly_subset_expansion``: sum (-1)^|S| k^m(G-S) over edge subsets S whose
   removal leaves the graph compatible with b.  The terms depend on S only
@@ -202,21 +204,25 @@ def poly_subset_expansion(
     (A, b)-flows themselves.
 
     The sum over S runs edge by edge, in the order of ``_edge_plan``, over
-    states instead of subsets.  The kept edges split the vertices into
-    blocks, each rooted at its least open vertex (one with edges still to
-    decide).  A state is a string with one character per vertex, with q the
-    group's order: every open vertex of a block holds its label,
-    chr(1 + root * q + s) for the block's b-sum s as a group-element index,
-    and a closed vertex holds chr(0).  Keeping an edge between two blocks
-    replaces both labels with the merged one; closing a root moves its label
-    to the next open member.  Labels reach n * q, so BudgetError is raised
-    before any table is built when that passes ``sys.maxunicode``.  Its value
-    is the sum of (-1)^|S| k^(kept edges + closed blocks) over the decided
-    edges that reach it: deleting an edge negates, keeping one multiplies by
-    k and merges the blocks of its ends.  A block whose last open vertex
-    closes with a nonzero b-sum leaves G - S incompatible and drops the
-    state; a zero sum is one more component, a factor k.  Vertices with no
-    edge but loops never close and are one component each, so
+    states instead of subsets.  The plan numbers the vertices by closing
+    rank (a vertex closes once its last edge is decided), and the kept
+    edges split them into blocks, each rooted at the member that closes
+    last.  A state is a string with one character per vertex not yet
+    closed, by closing rank, with q the group's order: every vertex of a
+    block holds its label, chr(1 + root * q + s) for the root's closing rank
+    and the block's b-sum s as a group-element index.  Keeping an edge
+    between two blocks replaces both labels with the merged one, whose root
+    the greater label names.  A step that closes k vertices drops the first
+    k characters: a vertex whose label is below chr(1 + (rank + 1) * q) is
+    its block's root, and the whole block closes with it.  Labels reach
+    n * q, so BudgetError is raised before any table is built when that
+    passes ``sys.maxunicode``.  A state's value is the sum of
+    (-1)^|S| k^(kept edges + closed blocks) over the decided edges that
+    reach it: deleting an edge negates, keeping one multiplies by k and
+    merges the blocks of its ends.  A block that closes with a nonzero b-sum
+    leaves G - S incompatible and drops the state; a zero sum is one more
+    component, a factor k.  Vertices with no edge but loops never close and
+    are one component each, so
     m(G - S) = kept + components - n = kept + closed blocks - closed, and
     the final value is shifted down one digit per closed vertex.  No term
     falls below that: a closed block of s vertices keeps at least s - 1
@@ -231,20 +237,21 @@ def poly_subset_expansion(
     if g.vertex_count * q > sys.maxunicode:
         raise BudgetError(f"{g.vertex_count} vertices over {b.spec} overflow the block labels")
     require_compatible(g, b)
-    _, loops, steps = _edge_plan(g)
+    _, loops, ranked, steps = _edge_plan(g)
     add, _ = index_tables(b.spec)
+    idx = b.indices
     w = g.edge_count + 2
     closed = work = 0
     # Before its first edge every vertex is a block of its own.
-    states = {"".join([chr(1 + v * q + s) for v, s in enumerate(b.indices)]): 1}
-    for x, y, closing in steps:
+    states = {"".join([chr(1 + p * q + idx[v]) for p, v in enumerate(ranked)]): 1}
+    for x, y, k in steps:
         out = {codes: -value for codes, value in states.items()}
         get = out.get
         for codes, value in states.items():
             la = codes[x]
             lc = codes[y]
             if la != lc:
-                if la > lc:  # la's block has the lesser root
+                if la < lc:  # lc's block has the greater root
                     la, lc = lc, la
                 sa = (ord(la) - 1) % q
                 joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
@@ -252,26 +259,35 @@ def poly_subset_expansion(
             out[codes] = get(codes, 0) + (value << w)
         work += len(out)
         _guard(work, budget, "plan states")
-        if not closing:
+        if not k:
             states = out
             continue
-        closed += len(closing)
+        # The vertex of rank r roots its block, which then closes, when its
+        # label is below chr(1 + (r + 1) * q); chr(1 + r * q) is a zero sum.
         states = {}
-        for codes, value in out.items():
-            for v in closing:
-                label = codes[v]
-                rest = codes[v + 1 :]  # every other open vertex of v's block, if v roots it
-                if ord(label) > v * q:  # v roots its block
-                    r = rest.find(label)
-                    if r >= 0:  # the block goes on, rooted at its least open vertex
-                        rest = rest.replace(label, chr(ord(label) + (r + 1) * q))
-                    elif ord(label) - 1 - v * q:
-                        break  # the block closes with a nonzero b-sum
-                    else:
-                        value <<= w
-                codes = codes[:v] + "\0" + rest
-            else:
+        if k == 1:
+            zero = chr(1 + closed * q)
+            shut = chr(1 + closed * q + q)
+            for codes, value in out.items():
+                label = codes[0]
+                if label < shut:
+                    if label != zero:
+                        continue  # the block closes with a nonzero b-sum
+                    value <<= w
+                codes = codes[1:]
                 states[codes] = states.get(codes, 0) + value
+        else:
+            bounds = [(chr(1 + r * q), chr(1 + r * q + q)) for r in range(closed, closed + k)]
+            for codes, value in out.items():
+                for label, (zero, shut) in zip(codes, bounds):
+                    if label < shut:
+                        if label != zero:
+                            break  # the block closes with a nonzero b-sum
+                        value <<= w
+                else:
+                    codes = codes[k:]
+                    states[codes] = states.get(codes, 0) + value
+        closed += k
     total = sum(states.values()) >> w * closed
     for _ in range(loops):
         total = (total << w) - total
@@ -322,7 +338,7 @@ def broken_bonds(
 def _plan_ranks(g: MultiGraph, order: EdgeOrder) -> list[int]:
     """The rank of each plan bit's edge in a validated order."""
     order.validate_for(g)
-    edge_bit, _, steps = _edge_plan(g)
+    edge_bit, _, _, steps = _edge_plan(g)
     rank = [0] * len(steps)
     for r, edge_id in enumerate(order.sequence):
         bit = edge_bit.get(edge_id)  # loops have no bit
@@ -391,21 +407,20 @@ def poly_nbb(
     edge, which keeps those windows short and few at once.
 
     The subsets are counted edge by edge, in the order of ``_edge_plan``,
-    over states instead of subsets.  The kept edges split the vertices into
-    blocks, each rooted at its least open vertex (one with edges still to
-    decide).  A state is a pair.  Its string has one character per vertex,
-    with q the group's order: every open vertex of a block holds its label,
-    chr(1 + root * q + s) for the block's b-sum s as a group-element index,
-    and a closed vertex holds chr(0); labels reach n * q, and BudgetError is
-    raised before any table is built when that passes ``sys.maxunicode``.
-    Its int, live, has the bits of the broken bonds whose first edge is
-    decided and whose edges so far are all deleted.  Deleting the
-    last edge of a live bond would put the bond inside S, so that branch is
-    dropped; keeping an edge of a bond clears its bit.  A block whose last
-    open vertex closes with a nonzero b-sum leaves G - S incompatible and
-    drops the state.  A value counts the subsets reaching its state by |S|,
-    packed into one int in base-2^(m + 2) digits, so deleting an edge shifts
-    it one digit up.  Loops lie in no bond and change no block, so each
+    over states instead of subsets.  A state is a pair.  Its string is the
+    one of ``poly_subset_expansion``: a character per vertex not yet closed,
+    by closing rank, holding its block's label chr(1 + root * q + s), where
+    the root is the member that closes last; labels reach n * q, and
+    BudgetError is raised before any table is built when that passes
+    ``sys.maxunicode``.  Its int, live, has the bits of the broken bonds
+    whose first edge is decided and whose edges so far are all deleted.
+    Deleting the last edge of a live bond would put the bond inside S, so
+    that branch is dropped; keeping an edge of a bond clears its bit.  A
+    step that closes k vertices drops the first k characters, and a block
+    that closes with its root with a nonzero b-sum leaves G - S
+    incompatible and drops the state.  A value counts the subsets reaching
+    its state by |S|, packed into one int in base-2^(m + 2) digits, so
+    deleting an edge shifts it one digit up.  Loops lie in no bond and change no block, so each
     doubles the count: S holds it or not.  The budget caps the states built,
     summed over the steps, as in ``poly_subset_expansion``; the bond sides
     walked for the broken bonds are not counted.
@@ -414,7 +429,7 @@ def poly_nbb(
     q = b.spec.order
     if g.vertex_count * q > sys.maxunicode:
         raise BudgetError(f"{g.vertex_count} vertices over {b.spec} overflow the block labels")
-    _, loops, steps = _edge_plan(g)
+    _, loops, ranked, steps = _edge_plan(g)
     rank = None if order is None else _plan_ranks(g, order)
     require_compatible(g, b)
     broken = list({mask for _, mask in _compatible_bonds(g, b, rank)})
@@ -436,11 +451,12 @@ def poly_nbb(
             inside[low.bit_length() - 1] |= bit
             mask ^= low
     add, _ = index_tables(b.spec)
+    idx = b.indices
     w = g.edge_count + 2
-    work = 0
+    closed = work = 0
     # Before its first edge every vertex is a block of its own.
-    states = {("".join([chr(1 + v * q + s) for v, s in enumerate(b.indices)]), 0): 1}
-    for (x, y, closing), first, last, within in zip(steps, start, end, inside):
+    states = {("".join([chr(1 + p * q + idx[v]) for p, v in enumerate(ranked)]), 0): 1}
+    for (x, y, k), first, last, within in zip(steps, start, end, inside):
         out: dict[tuple[str, int], int] = {}
         get = out.get
         for (codes, live), value in states.items():
@@ -450,7 +466,7 @@ def poly_nbb(
             la = codes[x]
             lc = codes[y]
             if la != lc:
-                if la > lc:  # la's block has the lesser root
+                if la < lc:  # lc's block has the greater root
                     la, lc = lc, la
                 sa = (ord(la) - 1) % q
                 joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
@@ -459,24 +475,31 @@ def poly_nbb(
             out[key] = get(key, 0) + value
         work += len(out)
         _guard(work, budget, "plan states")
-        if not closing:
+        if not k:
             states = out
             continue
+        # As in poly_subset_expansion: the vertex of rank r closes its block
+        # when its label is below chr(1 + (r + 1) * q).
         states = {}
-        for (codes, live), value in out.items():
-            for v in closing:
-                label = codes[v]
-                rest = codes[v + 1 :]  # every other open vertex of v's block, if v roots it
-                if ord(label) > v * q:  # v roots its block
-                    r = rest.find(label)
-                    if r >= 0:  # the block goes on, rooted at its least open vertex
-                        rest = rest.replace(label, chr(ord(label) + (r + 1) * q))
-                    elif ord(label) - 1 - v * q:
-                        break  # the block closes with a nonzero b-sum
-                codes = codes[:v] + "\0" + rest
-            else:
-                key = (codes, live)
+        if k == 1:
+            zero = chr(1 + closed * q)
+            shut = chr(1 + closed * q + q)
+            for (codes, live), value in out.items():
+                label = codes[0]
+                if label < shut and label != zero:
+                    continue  # the block closes with a nonzero b-sum
+                key = (codes[1:], live)
                 states[key] = states.get(key, 0) + value
+        else:
+            bounds = [(chr(1 + r * q), chr(1 + r * q + q)) for r in range(closed, closed + k)]
+            for (codes, live), value in out.items():
+                for label, (zero, shut) in zip(codes, bounds):
+                    if label < shut and label != zero:
+                        break  # the block closes with a nonzero b-sum
+                else:
+                    key = (codes[k:], live)
+                    states[key] = states.get(key, 0) + value
+        closed += k
     total = sum(states.values())
     for _ in range(loops):
         total += total << w

@@ -2,13 +2,16 @@
 
 Reports are JSON objects with fixed key order, printed to stdout.  Exit
 codes: 0 success, 2 parse or input error, 3 incompatible boundary function,
-4 resource guard, 5 verification failure.
+4 resource guard, 5 verification failure.  A reader that closes the pipe
+before the report ends (``flowpoly bonds g | head``) cuts the report short
+but changes no exit code: the command still exits with its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -487,7 +490,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # exit does not fail on the closed pipe too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

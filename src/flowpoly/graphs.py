@@ -164,13 +164,16 @@ def _adjacency(g: MultiGraph) -> list[list[int]]:
     return adj
 
 
-# (x, y, closing) per decided edge; see _edge_plan.
-_Decision = tuple[int, int, tuple[int, ...]]
+# (x, y, k) per decided edge; see _edge_plan.
+_Decision = tuple[int, int, int]
 
 
 @lru_cache(maxsize=4096)
-def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...]]:
-    """(2^rank for each non-loop edge id, by rank, loop count, steps) for both routes.
+def _edge_plan(
+    g: MultiGraph,
+) -> tuple[dict[int, int], int, tuple[int, ...], tuple[_Decision, ...]]:
+    """(2^rank for each non-loop edge id, by rank, loop count, closing order,
+    steps) for both routes.
 
     Vertices are placed one at a time, each component from its least vertex,
     and a placed vertex brings its edges to the vertices placed before it, in
@@ -181,8 +184,14 @@ def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...
     one edge left, which it closes.  That misses a neighbour whose last edges
     are all parallel edges to it, which costs width, never correctness.  Ties
     go to the most edges back to placed vertices, then the least label.
-    Step r decides the edge of rank r, between vertices x and y; afterwards
-    the vertices in closing have no edge left to decide.
+
+    A vertex closes at the step that decides its last edge.  The closing
+    order lists the vertices by closing rank: those that close, in step
+    order, then those that never close (no edge but loops), by label.  Step
+    r decides the edge of rank r and closes k vertices, the next k in the
+    closing order; its ends x and y are positions in the closing order less
+    the vertices closed before step r, so the routes can index a state
+    string that holds only the vertices not yet closed.
     """
     n = g.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -198,7 +207,8 @@ def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...
     back = [0] * n  # edges to placed vertices
     placed = [False] * n
     edge_bit: dict[int, int] = {}
-    steps: list[_Decision] = []
+    ends: list[tuple[int, int, int, int]] = []  # (u, v, closed before, closed after)
+    order: list[int] = []  # the closing order so far
     for root in range(n):
         if placed[root]:
             continue
@@ -219,21 +229,27 @@ def _edge_plan(g: MultiGraph) -> tuple[dict[int, int], int, tuple[_Decision, ...
             placed[v] = True
             for u, edge_id in adj[v]:
                 if placed[u]:
-                    edge_bit[edge_id] = 1 << len(steps)
+                    edge_bit[edge_id] = 1 << len(ends)
+                    before = len(order)
                     left[u] -= 1
                     left[v] -= 1
-                    # Spelled out: building a filtered tuple costs about as
-                    # much as the rest of the step on small graphs.
-                    if left[u]:
-                        closing = () if left[v] else (v,)
-                    else:
-                        closing = (u,) if left[v] else (u, v)
-                    steps.append((u, v, closing))
+                    if not left[u]:
+                        order.append(u)
+                    if not left[v]:
+                        order.append(v)
+                    ends.append((u, v, before, len(order)))
                 else:
                     if not back[u]:
                         frontier.append(u)
                     back[u] += 1
-    return edge_bit, loops, tuple(steps)
+    order += [v for v in range(n) if not adj[v]]
+    rank = [0] * n
+    for p, v in enumerate(order):
+        rank[v] = p
+    steps = tuple(
+        [(rank[u] - before, rank[v] - before, after - before) for u, v, before, after in ends]
+    )
+    return edge_bit, loops, tuple(order), steps
 
 
 def bonds(g: MultiGraph) -> list[EdgeSet]:
@@ -282,7 +298,11 @@ def side_cuts(g: MultiGraph) -> tuple[tuple[int, int], ...]:
     """
     near = [0] * g.vertex_count  # neighbour bitmasks
     incidence = [0] * g.vertex_count  # incident steps
-    for r, (x, y, _) in enumerate(_edge_plan(g)[2]):
+    _, _, order, steps = _edge_plan(g)
+    closed = 0
+    for r, (x, y, k) in enumerate(steps):
+        x, y = order[closed + x], order[closed + y]
+        closed += k
         near[x] |= 1 << y
         near[y] |= 1 << x
         incidence[x] |= 1 << r

@@ -611,7 +611,7 @@ def _prism_relabelled() -> MultiGraph:
 
 def _plan_order(g: MultiGraph) -> EdgeOrder:
     """The non-loop edge ids by their step in the edge plan, then the loops."""
-    edge_bit, _, _ = graphs._edge_plan(g)
+    edge_bit = graphs._edge_plan(g)[0]
     loops = tuple(edge.id for edge in g.edges if edge.is_loop)
     return EdgeOrder(tuple(sorted(edge_bit, key=edge_bit.__getitem__)) + loops)
 
@@ -797,26 +797,64 @@ def test_bond_lists_match_their_definition():
 
 
 def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():
-    for g in DIFFERENTIAL:
-        edge_bit, loops, steps = graphs._edge_plan(g)
+    for g in DIFFERENTIAL + [petersen()]:
+        edge_bit, loops, order, steps = graphs._edge_plan(g)
         ends = {e.id: {e.tail, e.head} for e in g.edges if not e.is_loop}
         assert loops == g.edge_count - len(ends)
         assert set(edge_bit) == set(ends)
         assert sorted(edge_bit.values()) == [1 << r for r in range(len(steps))]
+        # The closing order is a permutation of the vertices.  Each step's
+        # ends are positions in what remains of it, and the step closes the
+        # first k of those.
+        assert sorted(order) == list(range(g.vertex_count))
+        remaining = list(order)
+        decided, closed = [], []
+        for x, y, k in steps:
+            assert 0 <= x < len(remaining) and 0 <= y < len(remaining)
+            decided.append({remaining[x], remaining[y]})
+            closed.extend((v, len(decided) - 1) for v in remaining[:k])
+            remaining = remaining[k:]
         last = {}
         for edge_id, bit in edge_bit.items():
             r = bit.bit_length() - 1
-            x, y, _ = steps[r]
-            assert {x, y} == ends[edge_id]
-            for v in (x, y):
+            assert decided[r] == ends[edge_id]
+            for v in ends[edge_id]:
                 last[v] = max(last.get(v, r), r)
-        closed = [(v, r) for r, (_, _, closing) in enumerate(steps) for v in closing]
         assert sorted(closed) == sorted(last.items()), g
+        # The vertices that never close come last, by label.
+        assert remaining == sorted(set(range(g.vertex_count)) - set(last)), g
+
+
+# Several components, with isolated and loop-only vertices at the first,
+# a middle and the last label, and components whose labels interleave: the
+# places where numbering by closing rank could slip.
+PADDED = (
+    MultiGraph.from_pairs(8, [(1, 2), (2, 3), (3, 1), (2, 1), (4, 4), (6, 5), (5, 6)]),
+    MultiGraph.from_pairs(8, [(0, 0), (5, 1), (2, 6), (1, 5), (6, 4), (4, 2), (7, 7)]),
+    MultiGraph.from_pairs(9, [(1, 5), (5, 3), (4, 4), (3, 2), (2, 1), (7, 6), (6, 7), (8, 8)]),
+    MultiGraph.from_pairs(6, [(0, 0), (1, 2), (4, 5), (2, 3), (3, 1)]),
+    MultiGraph.from_pairs(7, [(4, 5), (1, 2), (3, 3), (2, 4), (5, 1), (1, 4), (2, 5)]),
+    MultiGraph.from_pairs(7, [(5, 1), (4, 5), (3, 3), (5, 4), (1, 5), (2, 5), (5, 2)]),
+)
+
+
+def test_routes_count_flows_on_padded_graphs():
+    rng = random.Random(23)
+    for built in PADDED:
+        pairs = list(built.pairs())
+        rng.shuffle(pairs)
+        for g in (built, MultiGraph.from_pairs(built.vertex_count, pairs)):
+            for spec in (parse_group("Z2xZ3"), parse_group("Z3xZ3")):
+                for b in (BFunction.zero(spec, g.vertex_count), _random_compatible_b(g, spec, rng)):
+                    expected = count_nz_flows_bruteforce(g, b)
+                    assert poly_subset_expansion(g, b).eval(spec.order) == expected, (g, b)
+                    for order in (None, _plan_order(g), EdgeOrder.shuffled(g, rng)):
+                        assert poly_nbb(g, b, order).eval(spec.order) == expected, (g, b, order)
 
 
 def test_side_cuts_match_their_definition():
     for g in DIFFERENTIAL + [petersen()]:
-        edge_bit, _, _ = graphs._edge_plan(g)
+        edge_bit = graphs._edge_plan(g)[0]
         expected = []
         for comp in components(g):
             anchor, others = min(comp), sorted(comp - {min(comp)})

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from flowpoly.cli import (
     parse_b_document,
     parse_graph_document,
 )
+import flowpoly
 from flowpoly import flows
 from flowpoly.abelian import parse_group
 from flowpoly.errors import ParseError
@@ -720,3 +725,27 @@ def test_verification_failure_exit(capsys, c3_file, monkeypatch):
     )
     assert code == EXIT_VERIFY
     assert report["agree"] is False
+
+
+def test_closed_pipe_ends_without_a_traceback(tmp_path):
+    # A reader that stops after one line, as in "flowpoly bonds g | head -1",
+    # closes the pipe while the report is still being written: K11's bonds
+    # report runs to about 290 kB, well past a pipe buffer.
+    pairs = [(i, j) for i in range(11) for j in range(i + 1, 11)]
+    graph = tmp_path / "k11.graph"
+    graph.write_text(f"11 {len(pairs)}\n" + "".join(f"{t} {h}\n" for t, h in pairs))
+    src = str(Path(flowpoly.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flowpoly.cli", "bonds", str(graph)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
