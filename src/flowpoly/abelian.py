@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -39,6 +39,7 @@ class GroupSpec:
     """A finite Abelian group given as a product of cyclic groups Z_n."""
 
     cyclic_orders: tuple[int, ...]
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         orders = tuple(self.cyclic_orders)
@@ -47,10 +48,7 @@ class GroupSpec:
         if any(not isinstance(o, int) or o < 1 for o in orders):
             raise InputError(f"cyclic orders must be integers >= 1, got {orders!r}")
         object.__setattr__(self, "cyclic_orders", orders)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.cyclic_orders)
+        object.__setattr__(self, "order", math.prod(orders))
 
     @property
     def rank(self) -> int:

@@ -217,11 +217,12 @@ def poly_subset_expansion(
     its block's root, and the whole block closes with it.  Labels reach
     n * q, so BudgetError is raised before any table is built when that
     passes ``sys.maxunicode``.  A state's value is the sum of
-    (-1)^|S| k^(kept edges + closed blocks) over the decided edges that
-    reach it: deleting an edge negates, keeping one multiplies by k and
-    merges the blocks of its ends.  A block that closes with a nonzero b-sum
-    leaves G - S incompatible and drops the state; a zero sum is one more
-    component, a factor k.  Vertices with no edge but loops never close and
+    (-1)^kept k^(kept edges + closed blocks) over the decided edges that
+    reach it: deleting an edge copies the value, keeping one multiplies it
+    by -k and merges the blocks of its ends.  Since |S| = steps - kept, the
+    total is negated once at the end when the steps are odd.  A block that
+    closes with a nonzero b-sum leaves G - S incompatible and drops the
+    state; a zero sum is one more component, a factor k.  Vertices with no edge but loops never close and
     are one component each, so
     m(G - S) = kept + components - n = kept + closed blocks - closed, and
     the final value is shifted down one digit per closed vertex.  No term
@@ -245,7 +246,7 @@ def poly_subset_expansion(
     # Before its first edge every vertex is a block of its own.
     states = {"".join([chr(1 + p * q + idx[v]) for p, v in enumerate(ranked)]): 1}
     for x, y, k in steps:
-        out = {codes: -value for codes, value in states.items()}
+        out = states.copy()
         get = out.get
         for codes, value in states.items():
             la = codes[x]
@@ -256,7 +257,7 @@ def poly_subset_expansion(
                 sa = (ord(la) - 1) % q
                 joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
                 codes = codes.replace(la, joined).replace(lc, joined)
-            out[codes] = get(codes, 0) + (value << w)
+            out[codes] = get(codes, 0) - (value << w)
         work += len(out)
         _guard(work, budget, "plan states")
         if not k:
@@ -289,6 +290,8 @@ def poly_subset_expansion(
                     states[codes] = states.get(codes, 0) + value
         closed += k
     total = sum(states.values()) >> w * closed
+    if len(steps) % 2:
+        total = -total
     for _ in range(loops):
         total = (total << w) - total
     return IntPolynomial(_unpack(total, w))

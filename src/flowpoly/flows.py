@@ -4,7 +4,11 @@ The counting functions here are the definitional oracles of the package:
 they tally the boundaries of all edge functions, one edge at a time, as a
 count per partial boundary.  One tally per (graph, group) is cached as a
 boundary histogram, so repeated per-b queries against the same graph cost
-a dictionary lookup.
+a dictionary lookup.  ``nz_orientation_walk`` runs the same tally steps
+once more, uncached, for the verification harness: it returns the
+nowhere-zero histogram together with the edges whose reversal would change
+it, found by stepping the shared tally both ways at each edge instead of
+tallying a reversed copy of the graph per edge.
 
 Residues are validated once, where a BFunction or EdgeFunction is built
 from outside input.  A BFunction also carries its values as element
@@ -25,7 +29,7 @@ from typing import Collection, Iterator, Mapping
 
 from .abelian import GroupElement, GroupSpec, index_tables
 from .errors import BudgetError, IncompatibleError, InputError
-from .graphs import MultiGraph, VertexSet, components, cycle_rank
+from .graphs import MultiGraph, VertexSet, components
 
 DEFAULT_BUDGET = 10**8
 
@@ -174,16 +178,17 @@ def enumerate_zero_sum(
             for v in others:
                 total = add[total][idx[v]]
             idx[pin] = neg[total]
-        yield BFunction._trusted(spec, tuple([elems[i] for i in idx]), tuple(idx))
+        yield BFunction._trusted(spec, tuple(map(elems.__getitem__, idx)), tuple(idx))
 
 
 def count_flows(g: MultiGraph, b: BFunction) -> int:
     """Number of (A, b)-flows with zeros allowed: |A|^m(G) when the graph is
     b-compatible, otherwise 0."""
     _check_vertex_function(g, b)
-    if not is_b_compatible(g, b):
+    comps = components(g)
+    if any(vertex_sum(b, comp) for comp in comps):
         return 0
-    return b.spec.order ** cycle_rank(g)
+    return b.spec.order ** (g.edge_count - g.vertex_count + len(comps))
 
 
 @lru_cache(maxsize=4096)
@@ -194,32 +199,51 @@ def _boundary_histogram(
     keyed by per-vertex element-index tuples, the form of BFunction.indices.
 
     One pass over the non-loop edges carries a dict from partial boundaries
-    to the number of edge functions on the edges so far that reach them;
-    each allowed value a adds a at the edge's head and -a at its tail.
-    Loops never move the boundary, so they enter as one starting weight of
-    (#values)^loops.
+    to the number of edge functions on the edges so far that reach them,
+    extended one edge at a time by ``_tally_step``.  Loops never move the
+    boundary, so they enter as one starting weight of (#values)^loops.
     """
+    counts, values, add = _tally_start(g, spec, nowhere_zero)
+    for e in g.edges:
+        if not e.is_loop:
+            counts = _tally_step(counts, e.tail, e.head, values, add)
+    return counts
+
+
+def _tally_start(
+    g: MultiGraph, spec: GroupSpec, nowhere_zero: bool
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The tally before any non-loop edge, the allowed (a, -a) index pairs,
+    and the group's addition table."""
     add, neg = index_tables(spec)
     values = [(a, neg[a]) for a in range(1 if nowhere_zero else 0, spec.order)]
     loops = sum(1 for e in g.edges if e.is_loop)
     weight = len(values) ** loops
     counts = {(0,) * g.vertex_count: weight} if weight else {}
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        t, h = e.tail, e.head
-        step: dict[tuple[int, ...], int] = {}
-        while counts:  # popping frees each key once it is extended
-            key, count = counts.popitem()
-            row_t, row_h = add[key[t]], add[key[h]]
-            state = list(key)
-            for a, minus_a in values:
-                state[h] = row_h[a]
-                state[t] = row_t[minus_a]
-                new = tuple(state)
-                step[new] = step.get(new, 0) + count
-        counts = step
-    return counts
+    return counts, values, add
+
+
+def _tally_step(
+    counts: dict[tuple[int, ...], int],
+    t: int,
+    h: int,
+    values: list[tuple[int, int]],
+    add: tuple[tuple[int, ...], ...],
+) -> dict[tuple[int, ...], int]:
+    """The tally after one more edge from t to h: each allowed value a adds
+    a at h and -a at t.  Empties counts as it goes, which frees each key
+    once it is extended."""
+    step: dict[tuple[int, ...], int] = {}
+    while counts:
+        key, count = counts.popitem()
+        row_t, row_h = add[key[t]], add[key[h]]
+        state = list(key)
+        for a, minus_a in values:
+            state[h] = row_h[a]
+            state[t] = row_t[minus_a]
+            new = tuple(state)
+            step[new] = step.get(new, 0) + count
+    return step
 
 
 def _guard(steps: int, budget: int, what: str = "edge functions") -> None:
@@ -236,6 +260,36 @@ def nz_flow_index_counts(
         raise InputError("nowhere-zero flows need a group of order >= 2")
     _guard((spec.order - 1) ** g.edge_count, budget)
     return MappingProxyType(_boundary_histogram(g, spec, True))
+
+
+def nz_orientation_walk(
+    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
+) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
+    """The nowhere-zero boundary histogram of g, as ``nz_flow_index_counts``
+    gives it, and the ids of the non-loop edges whose reversal changes it.
+
+    Reversing an edge changes only that edge's step of the tally, so at each
+    non-loop edge the tally so far is stepped both ways.  When the two steps
+    agree, every later step repeats the same computation and the reversed
+    graph's histogram equals g's.  When they differ, the reversed tally runs
+    on to the end and the two final histograms are compared.  The result is
+    fresh and not cached.
+    """
+    if spec.order < 2:
+        raise InputError("nowhere-zero flows need a group of order >= 2")
+    _guard((spec.order - 1) ** g.edge_count, budget)
+    counts, values, add = _tally_start(g, spec, True)
+    edges = [e for e in g.edges if not e.is_loop]
+    reversed_tallies = []
+    for i, e in enumerate(edges):
+        backward = _tally_step(dict(counts), e.head, e.tail, values, add)
+        counts = _tally_step(counts, e.tail, e.head, values, add)
+        if backward != counts:
+            for later in edges[i + 1 :]:
+                backward = _tally_step(backward, later.tail, later.head, values, add)
+            reversed_tallies.append((e.id, backward))
+    changed = tuple(edge_id for edge_id, final in reversed_tallies if final != counts)
+    return counts, changed
 
 
 def nz_flow_boundary_counts(

@@ -76,7 +76,13 @@ class MultiGraph:
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.edges)
+        # Read by every EdgeOrder built or validated: computed once, as the hash is.
+        try:
+            return self._edge_ids
+        except AttributeError:
+            ids = tuple(e.id for e in self.edges)
+            object.__setattr__(self, "_edge_ids", ids)
+            return ids
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((e.tail, e.head) for e in self.edges)

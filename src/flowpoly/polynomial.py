@@ -8,6 +8,7 @@ polynomial is the empty coefficient tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .errors import InputError
@@ -21,7 +22,7 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         coeffs = list(self.coefficients)
-        if any(not isinstance(c, int) for c in coeffs):
+        if not all(map(isinstance, coeffs, repeat(int))):
             raise InputError("coefficients must be exact integers")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from flowpoly import flows
 from flowpoly.abelian import GroupSpec, parse_group
-from flowpoly.graphs import MultiGraph
+from flowpoly.graphs import MultiGraph, reverse_edge
 
 
 def triangle() -> MultiGraph:
@@ -77,3 +78,39 @@ SMALL_GROUPS = tuple(parse_group(name) for name in ("Z2", "Z3", "Z4", "Z2xZ2"))
 WIDE_GROUPS = SMALL_GROUPS + tuple(
     parse_group(name) for name in ("Z5", "Z6", "Z2xZ3", "Z3xZ3")
 )
+
+
+def reversals_changing_histogram(g: MultiGraph, spec: GroupSpec) -> tuple[int, ...]:
+    """The non-loop edges whose reversed copy of g has another nowhere-zero
+    boundary histogram than g, by tallying each copy in full."""
+    base = flows.nz_flow_index_counts(g, spec)
+    return tuple(
+        edge.id
+        for edge in g.edges
+        if not edge.is_loop
+        and flows.nz_flow_index_counts(reverse_edge(g, edge.id), spec) != base
+    )
+
+
+# Over Z4 this table sends 1 -> 2 -> 3 -> 1, which is no involution, so
+# reversing any edge changes the step that edge takes.
+WRONG_Z4_NEGATION = (0, 2, 3, 1)
+
+
+@pytest.fixture
+def wrong_z4_negation(monkeypatch):
+    """Every boundary tally over Z4 negates through WRONG_Z4_NEGATION; other
+    groups tally honestly.  The histogram cache is emptied on both sides."""
+    real = flows._tally_start
+    z4 = parse_group("Z4")
+
+    def patched(g, spec, nowhere_zero):
+        counts, values, add = real(g, spec, nowhere_zero)
+        if spec == z4:
+            values = [(a, WRONG_Z4_NEGATION[a]) for a, _ in values]
+        return counts, values, add
+
+    flows._boundary_histogram.cache_clear()
+    monkeypatch.setattr(flows, "_tally_start", patched)
+    yield
+    flows._boundary_histogram.cache_clear()

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowpoly import flows
 from flowpoly.abelian import parse_group
-from flowpoly.catalog import cycle
+from flowpoly.catalog import all_multigraphs, cycle
 from flowpoly.errors import BudgetError, InputError
 from flowpoly.flows import (
     BFunction,
@@ -24,6 +25,7 @@ from flowpoly.flows import (
     is_b_compatible,
     nz_flow_boundary_counts,
     nz_flow_index_counts,
+    nz_orientation_walk,
 )
 from flowpoly.graphs import MultiGraph, reverse_edge
 
@@ -32,6 +34,7 @@ from conftest import (
     WIDE_GROUPS,
     k4,
     multigraphs,
+    reversals_changing_histogram,
     single_edge,
     single_loop,
     triangle,
@@ -267,6 +270,62 @@ def test_histogram_matches_definition(g, name):
 
 def test_nz_flows_on_a_long_cycle():
     assert count_nz_flows_bruteforce(cycle(1001), BFunction.zero(Z2, 1001)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The orientation walk.
+
+WALK_GROUPS = tuple(parse_group(name) for name in ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z2xZ3"))
+
+
+def test_orientation_walk_matches_reversed_copies():
+    graphs = list(all_multigraphs(3, 5))
+    assert len(graphs) > 500
+    for g in graphs:
+        for spec in WALK_GROUPS:
+            hist, changed = nz_orientation_walk(g, spec)
+            assert hist == nz_flow_index_counts(g, spec)
+            assert changed == reversals_changing_histogram(g, spec) == ()
+
+
+@pytest.mark.usefixtures("wrong_z4_negation")
+def test_orientation_walk_sees_a_reversal_that_matters(monkeypatch):
+    # Z3 steps each edge both ways and finds them equal, so it takes two
+    # steps per edge; over the wrong Z4 table the two steps differ at every
+    # edge, and each reversed tally runs on to the end.
+    steps = [0]
+    real = flows._tally_step
+
+    def counting(*args):
+        steps[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(flows, "_tally_step", counting)
+    for g in (triangle(), k4(), MultiGraph.from_pairs(3, [(0, 0), (0, 1), (1, 0), (1, 2)])):
+        r = sum(1 for edge in g.edges if not edge.is_loop)
+        for spec, extra in ((Z3, 0), (Z4, r * (r - 1) // 2)):
+            steps[0] = 0
+            hist, changed = nz_orientation_walk(g, spec)
+            assert steps[0] == 2 * r + extra
+            assert hist == nz_flow_index_counts(g, spec)
+            assert changed == reversals_changing_histogram(g, spec)
+            assert bool(changed) == (spec == Z4)
+
+
+@pytest.mark.usefixtures("wrong_z4_negation")
+def test_orientation_walk_matches_reversed_copies_under_a_wrong_negation():
+    for g in all_multigraphs(3, 4):
+        hist, changed = nz_orientation_walk(g, Z4)
+        assert hist == nz_flow_index_counts(g, Z4)
+        assert changed == reversals_changing_histogram(g, Z4)
+
+
+def test_orientation_walk_guards_before_tallying():
+    g = MultiGraph.from_pairs(2, [(0, 1)] * 4)
+    with pytest.raises(BudgetError, match="enumeration of 81 edge functions exceeds budget 80"):
+        nz_orientation_walk(g, Z4, budget=80)
+    with pytest.raises(InputError, match="order >= 2"):
+        nz_orientation_walk(g, parse_group("Z1"))
 
 
 # ---------------------------------------------------------------------------

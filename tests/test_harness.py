@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 import flowpoly.assigning as asg
+import flowpoly.harness as harness
 from flowpoly.abelian import parse_group
 from flowpoly.errors import BudgetError, ConsistencyError
+from flowpoly.catalog import all_multigraphs
 from flowpoly.flows import enumerate_zero_sum
 from flowpoly.graphs import MultiGraph
 from flowpoly.harness import (
@@ -17,7 +19,7 @@ from flowpoly.harness import (
 )
 from flowpoly.polynomial import IntPolynomial
 
-from conftest import k4, single_edge, single_loop, triangle
+from conftest import k4, reversals_changing_histogram, single_edge, single_loop, triangle
 
 
 def test_small_run_passes_every_suite():
@@ -58,16 +60,17 @@ def _shift_brute_force_counts(monkeypatch) -> None:
     """Make the harness read every brute-force count one too high."""
     import flowpoly.harness as harness
 
-    real = harness.nz_flow_index_counts
+    real = harness.nz_orientation_walk
 
     class Shifted(dict):
         def get(self, key, default=0):
             return super().get(key, default) + 1
 
     def corrupted(g, spec, **kwargs):
-        return Shifted(real(g, spec, **kwargs))
+        hist, changed = real(g, spec, **kwargs)
+        return Shifted(hist), changed
 
-    monkeypatch.setattr(harness, "nz_flow_index_counts", corrupted)
+    monkeypatch.setattr(harness, "nz_orientation_walk", corrupted)
 
 
 def test_harness_detects_wrong_counts(monkeypatch):
@@ -179,3 +182,47 @@ def test_lemma_suites_skip_graphs_above_the_subset_table():
     for name in SUITE_NAMES:
         if name not in ("inclusion_lemma", "broken_bond_pairing", "group_invariance"):
             assert report[name].checked > 0, name
+
+
+@pytest.mark.usefixtures("wrong_z4_negation")
+def test_orientation_suite_fails_once_per_changing_reversal():
+    graphs = list(all_multigraphs(3, 3))
+    specs = (parse_group("Z3"), parse_group("Z4"))
+    expected = sum(len(reversals_changing_histogram(g, spec)) for g in graphs for spec in specs)
+    assert expected > 0
+    report = run_verification(graphs, specs, seed=0)
+    suite = report["orientation_independence"]
+    assert suite.failures == expected
+    assert "changed some nowhere-zero flow count" in suite.first_failure
+
+
+def _corrupt_signatures(monkeypatch, corrupt) -> None:
+    """Make the lemma suites read corrupt(sigma) for every compat signature."""
+    real = asg.compat_signature
+    monkeypatch.setattr(asg, "compat_signature", lambda g, b: corrupt(real(g, b)))
+
+
+def test_inclusion_lemma_fails_on_a_corrupted_signature(monkeypatch):
+    # Partition 0 is G's own components, the partition of S = {} and of
+    # each single triangle edge.  Without it, some bond of the triangle
+    # stays compatible for each of the four classes over Z2, but one edge
+    # of it alone does not.
+    _corrupt_signatures(monkeypatch, lambda sigma: sigma & ~1)
+    report = run_verification([triangle()], (parse_group("Z2"),), seed=0)
+    assert report["inclusion_lemma"].failures == report["inclusion_lemma"].checked == 4
+    assert "not closed under shrinking" in report["inclusion_lemma"].first_failure
+    assert report["broken_bond_pairing"].failures == 0
+
+
+def test_pairing_lemma_fails_on_a_corrupted_signature(monkeypatch):
+    # Only G's own components compatible: one deleted triangle edge is, but
+    # deleting the other edge of its bond as well splits the triangle.
+    # Each of the four classes over Z2 has a compatible bond, and each
+    # order finds it.
+    _corrupt_signatures(monkeypatch, lambda sigma: sigma & 1)
+    report = run_verification([triangle()], (parse_group("Z2"),), seed=0)
+    pairing = report["broken_bond_pairing"]
+    assert pairing.checked == 4 * (1 + harness.PAIRING_ORDERS)
+    assert pairing.failures == pairing.checked
+    assert "adding back the greatest bond edge" in pairing.first_failure
+    assert report["inclusion_lemma"].failures == 0
