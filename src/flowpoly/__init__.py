@@ -20,6 +20,7 @@ from .assigning import (
     induced_assigning,
     is_A_connected,
     poly_nbb,
+    poly_nbb_orders,
     poly_subset_expansion,
 )
 from .errors import (
@@ -121,6 +122,7 @@ __all__ = [
     "nz_flow_index_counts",
     "parse_group",
     "poly_nbb",
+    "poly_nbb_orders",
     "poly_subset_expansion",
     "reverse_edge",
 ]

@@ -49,6 +49,11 @@ class GroupSpec:
             raise InputError(f"cyclic orders must be integers >= 1, got {orders!r}")
         object.__setattr__(self, "cyclic_orders", orders)
         object.__setattr__(self, "order", math.prod(orders))
+        # Every index_tables lookup hashes the spec: compute it once per instance.
+        object.__setattr__(self, "_hash", hash(orders))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:

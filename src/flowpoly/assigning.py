@@ -24,7 +24,9 @@ They share no other code.
   bits.  A bond of a b-compatible graph is compatible exactly when b sums
   to zero on X, and its broken bond is the cut minus its top-ranked bit.
   ``b_compatible_bonds`` and ``broken_bonds`` apply the same rule and turn
-  the masks into edge ids.
+  the masks into edge ids.  ``poly_nbb_orders`` counts under several orders
+  from one compatibility check and one pass of bond sums, and runs one
+  state loop per distinct family of broken bonds.
 
 Both polynomials depend on b only through its assigning α, which
 ``induced_assigning`` returns as an int with one bit per member of
@@ -42,6 +44,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
@@ -319,8 +322,7 @@ def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
     """
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    cuts = [cut for cut, _ in _compatible_bonds(g, b, None)]
-    return sorted(_plan_edge_sets(g, cuts), key=sorted)
+    return sorted(_plan_edge_sets(g, _compatible_cuts(g, b)), key=sorted)
 
 
 def broken_bonds(
@@ -334,7 +336,7 @@ def broken_bonds(
     rank = _plan_ranks(g, order or EdgeOrder.default(g))
     _check_vertex_function(g, b)
     require_compatible(g, b)
-    masks = {mask for _, mask in _compatible_bonds(g, b, rank)}
+    (masks,) = _broken_families(_compatible_cuts(g, b), [rank])
     return sorted(_plan_edge_sets(g, masks), key=sorted)
 
 
@@ -350,14 +352,11 @@ def _plan_ranks(g: MultiGraph, order: EdgeOrder) -> list[int]:
     return rank
 
 
-def _compatible_bonds(
-    g: MultiGraph, b: BFunction, rank: list[int] | None
-) -> list[tuple[int, int]]:
-    """(cut, broken bond) in plan bits for each bond compatible with b.
+def _compatible_cuts(g: MultiGraph, b: BFunction) -> list[int]:
+    """The cut in plan bits of each bond compatible with b.
 
     b must be compatible with g.  A bond is compatible when b sums to zero
-    on its side.  Its broken bond is its cut minus the top-ranked bit: the
-    highest bit when rank is None, else the bit of greatest rank.
+    on its side.
     """
     add, _ = index_tables(b.spec)
     nonzero = [(1 << v, i) for v, i in enumerate(b.indices) if i]
@@ -367,11 +366,26 @@ def _compatible_bonds(
         for bit, i in nonzero:
             if side & bit:
                 total = add[total][i]
-        if total:
-            continue
+        if not total:
+            out.append(cut)
+    return out
+
+
+def _broken_families(
+    cuts: list[int], ranks: Sequence[list[int] | None]
+) -> list[frozenset[int]]:
+    """The broken bonds of the cuts in plan bits, one family per rank.
+
+    A broken bond is its cut minus the top-ranked bit: the highest bit when
+    the rank is None, else the bit of greatest rank.
+    """
+    families = []
+    for rank in ranks:
         if rank is None:
-            top = 1 << cut.bit_length() - 1
-        else:
+            families.append(frozenset([cut ^ 1 << cut.bit_length() - 1 for cut in cuts]))
+            continue
+        broken = []
+        for cut in cuts:
             best = -1
             rest = cut
             while rest:
@@ -380,8 +394,9 @@ def _compatible_bonds(
                 if r > best:
                     best, top = r, low
                 rest ^= low
-        out.append((cut, cut ^ top))
-    return out
+            broken.append(cut ^ top)
+        families.append(frozenset(broken))
+    return families
 
 
 def poly_nbb(
@@ -398,7 +413,8 @@ def poly_nbb(
     for the given edge order; the polynomial is sum (-1)^i a_i k^(m(G)-i).
     The a_i do not depend on the order.  With no order given, the count runs
     under the plan's own order: the non-loop edges by their step, then the
-    loops.  ``broken_bonds`` with no order still takes the edge ids.
+    loops.  ``broken_bonds`` with no order still takes the edge ids.  This
+    is ``poly_nbb_orders`` with one order, which runs the count below.
 
     The bonds come from ``side_cuts``: a side mask, and a cut mask with bit
     r for the edge of step r.  A bond is compatible when b sums to zero
@@ -428,95 +444,124 @@ def poly_nbb(
     summed over the steps, as in ``poly_subset_expansion``; the bond sides
     walked for the broken bonds are not counted.
     """
+    return poly_nbb_orders(g, b, (order,), budget=budget)[0]
+
+
+def poly_nbb_orders(
+    g: MultiGraph,
+    b: BFunction,
+    orders: Sequence[EdgeOrder | None],
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> list[IntPolynomial]:
+    """``poly_nbb`` under each order in turn, None standing for the plan's own.
+
+    Every order is validated before compatibility is checked, and that is
+    checked once.  The compatible cuts come from one pass of bond sums.  If
+    one of them is a single edge, its broken bond is empty and lies in every
+    S, so the polynomial is zero under every order and no state loop runs.
+    Otherwise the count reads the order only through the family of broken
+    bonds, so orders with equal families share one state loop; the result
+    lives for this call alone.  Each loop counts its own states against the
+    budget, as a ``poly_nbb`` call does.
+    """
     _check_vertex_function(g, b)
     q = b.spec.order
     if g.vertex_count * q > sys.maxunicode:
         raise BudgetError(f"{g.vertex_count} vertices over {b.spec} overflow the block labels")
     _, loops, ranked, steps = _edge_plan(g)
-    rank = None if order is None else _plan_ranks(g, order)
+    ranks = [None if order is None else _plan_ranks(g, order) for order in orders]
     require_compatible(g, b)
-    broken = list({mask for _, mask in _compatible_bonds(g, b, rank)})
+    cuts = _compatible_cuts(g, b)
     top = cycle_rank(g)
-    counts = [0] * (top + 1)
-    if 0 in broken:  # the empty set lies in every S
-        return IntPolynomial.from_signless(counts, top)
-    # Bond j has bit j: in start at its first step, in end at its last, and
-    # in inside at each of its steps.
-    start = [0] * len(steps)
-    end = [0] * len(steps)
-    inside = [0] * len(steps)
-    for j, mask in enumerate(broken):
-        bit = 1 << j
-        start[(mask & -mask).bit_length() - 1] |= bit
-        end[mask.bit_length() - 1] |= bit
-        while mask:
-            low = mask & -mask
-            inside[low.bit_length() - 1] |= bit
-            mask ^= low
+    for cut in cuts:
+        if not cut & cut - 1:  # a single-edge bond: its broken bond, empty, lies in every S
+            return [IntPolynomial.from_signless([0] * (top + 1), top)] * len(ranks)
+    families = _broken_families(cuts, ranks)
     add, _ = index_tables(b.spec)
     idx = b.indices
     w = g.edge_count + 2
-    closed = work = 0
-    # Before its first edge every vertex is a block of its own.
-    states = {("".join([chr(1 + p * q + idx[v]) for p, v in enumerate(ranked)]), 0): 1}
-    for (x, y, k), first, last, within in zip(steps, start, end, inside):
-        out: dict[tuple[str, int], int] = {}
-        get = out.get
-        for (codes, live), value in states.items():
-            if not last & (live | first):
-                key = (codes, (live | first) & ~last)
-                out[key] = get(key, 0) + (value << w)
-            la = codes[x]
-            lc = codes[y]
-            if la != lc:
-                if la < lc:  # lc's block has the greater root
-                    la, lc = lc, la
-                sa = (ord(la) - 1) % q
-                joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
-                codes = codes.replace(la, joined).replace(lc, joined)
-            key = (codes, live & ~within)
-            out[key] = get(key, 0) + value
-        work += len(out)
-        _guard(work, budget, "plan states")
-        if not k:
-            states = out
+    polys: dict[frozenset[int], IntPolynomial] = {}
+    for family in families:
+        if family in polys:
             continue
-        # As in poly_subset_expansion: the vertex of rank r closes its block
-        # when its label is below chr(1 + (r + 1) * q).
-        states = {}
-        if k == 1:
-            zero = chr(1 + closed * q)
-            shut = chr(1 + closed * q + q)
-            for (codes, live), value in out.items():
-                label = codes[0]
-                if label < shut and label != zero:
-                    continue  # the block closes with a nonzero b-sum
-                key = (codes[1:], live)
-                states[key] = states.get(key, 0) + value
-        else:
-            bounds = [(chr(1 + r * q), chr(1 + r * q + q)) for r in range(closed, closed + k)]
-            for (codes, live), value in out.items():
-                for label, (zero, shut) in zip(codes, bounds):
+        broken = list(family)
+        # Bond j has bit j: in start at its first step, in end at its last,
+        # and in inside at each of its steps.
+        start = [0] * len(steps)
+        end = [0] * len(steps)
+        inside = [0] * len(steps)
+        for j, mask in enumerate(broken):
+            bit = 1 << j
+            start[(mask & -mask).bit_length() - 1] |= bit
+            end[mask.bit_length() - 1] |= bit
+            while mask:
+                low = mask & -mask
+                inside[low.bit_length() - 1] |= bit
+                mask ^= low
+        closed = work = 0
+        # Before its first edge every vertex is a block of its own.
+        states = {("".join([chr(1 + p * q + idx[v]) for p, v in enumerate(ranked)]), 0): 1}
+        for (x, y, k), first, last, within in zip(steps, start, end, inside):
+            out: dict[tuple[str, int], int] = {}
+            get = out.get
+            for (codes, live), value in states.items():
+                if not last & (live | first):
+                    key = (codes, (live | first) & ~last)
+                    out[key] = get(key, 0) + (value << w)
+                la = codes[x]
+                lc = codes[y]
+                if la != lc:
+                    if la < lc:  # lc's block has the greater root
+                        la, lc = lc, la
+                    sa = (ord(la) - 1) % q
+                    joined = chr(ord(la) - sa + add[sa][(ord(lc) - 1) % q])
+                    codes = codes.replace(la, joined).replace(lc, joined)
+                key = (codes, live & ~within)
+                out[key] = get(key, 0) + value
+            work += len(out)
+            _guard(work, budget, "plan states")
+            if not k:
+                states = out
+                continue
+            # As in poly_subset_expansion: the vertex of rank r closes its
+            # block when its label is below chr(1 + (r + 1) * q).
+            states = {}
+            if k == 1:
+                zero = chr(1 + closed * q)
+                shut = chr(1 + closed * q + q)
+                for (codes, live), value in out.items():
+                    label = codes[0]
                     if label < shut and label != zero:
-                        break  # the block closes with a nonzero b-sum
-                else:
-                    key = (codes[k:], live)
+                        continue  # the block closes with a nonzero b-sum
+                    key = (codes[1:], live)
                     states[key] = states.get(key, 0) + value
-        closed += k
-    total = sum(states.values())
-    for _ in range(loops):
-        total += total << w
-    digit = (1 << w) - 1
-    for size in range(g.edge_count + 1):
-        count = total >> size * w & digit
-        if not count:
-            continue
-        if size > top:
-            raise ConsistencyError(
-                f"a {size}-edge subset survived although m(G) = {top}"
-            )
-        counts[size] = count
-    return IntPolynomial.from_signless(counts, top)
+            else:
+                bounds = [(chr(1 + r * q), chr(1 + r * q + q)) for r in range(closed, closed + k)]
+                for (codes, live), value in out.items():
+                    for label, (zero, shut) in zip(codes, bounds):
+                        if label < shut and label != zero:
+                            break  # the block closes with a nonzero b-sum
+                    else:
+                        key = (codes[k:], live)
+                        states[key] = states.get(key, 0) + value
+            closed += k
+        total = sum(states.values())
+        for _ in range(loops):
+            total += total << w
+        digit = (1 << w) - 1
+        counts = [0] * (top + 1)
+        for size in range(g.edge_count + 1):
+            count = total >> size * w & digit
+            if not count:
+                continue
+            if size > top:
+                raise ConsistencyError(
+                    f"a {size}-edge subset survived although m(G) = {top}"
+                )
+            counts[size] = count
+        polys[family] = IntPolynomial.from_signless(counts, top)
+    return [polys[family] for family in families]
 
 
 @dataclass(frozen=True)

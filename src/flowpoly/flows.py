@@ -125,8 +125,12 @@ def vertex_sum(b: BFunction, vertices: Collection[int]) -> int:
 def incompatible_component(g: MultiGraph, b: BFunction) -> tuple[VertexSet, GroupElement] | None:
     """The first component whose b-values do not sum to zero, with that sum."""
     _check_vertex_function(g, b)
+    add, _ = index_tables(b.spec)
+    indices = b.indices
     for comp in components(g):
-        total = vertex_sum(b, comp)
+        total = 0
+        for v in comp:
+            total = add[total][indices[v]]
         if total:
             return comp, b.spec.element_at(total)
     return None
@@ -185,9 +189,15 @@ def count_flows(g: MultiGraph, b: BFunction) -> int:
     """Number of (A, b)-flows with zeros allowed: |A|^m(G) when the graph is
     b-compatible, otherwise 0."""
     _check_vertex_function(g, b)
+    add, _ = index_tables(b.spec)
+    indices = b.indices
     comps = components(g)
-    if any(vertex_sum(b, comp) for comp in comps):
-        return 0
+    for comp in comps:
+        total = 0
+        for v in comp:
+            total = add[total][indices[v]]
+        if total:
+            return 0
     return b.spec.order ** (g.edge_count - g.vertex_count + len(comps))
 
 

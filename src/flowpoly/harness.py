@@ -19,14 +19,16 @@ ConsistencyError.
 
 The effort per graph is fixed.  Each class's broken-bond polynomial is
 computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
-and the pairing lemma is checked under the default order and
-``PAIRING_ORDERS`` shuffled ones.  The oracle counts and the orientation
-suite read one tally walk per group, ``flows.nz_orientation_walk``: it
-returns the nowhere-zero boundary histogram and the non-loop edges whose
-reversal would change it, so no reversed copy of the graph is built.  The
-lemma suites hold each class's compatible edge subsets as one int, bit S
-for subset mask S, and test each implication over all masks at once with
-shifts and ANDs.
+all from one ``assigning.poly_nbb_orders`` call: it checks compatibility
+and sums b over the bond sides once, and runs one state loop per distinct
+family of broken bonds.  The pairing lemma is checked under the default
+order and ``PAIRING_ORDERS`` shuffled ones.  The oracle counts and the
+orientation suite read one tally walk per group,
+``flows.nz_orientation_walk``: it returns the nowhere-zero boundary
+histogram and the non-loop edges whose reversal would change it, so no
+reversed copy of the graph is built.  The lemma suites hold each class's
+compatible edge subsets as one int, bit S for subset mask S, and test each
+implication over all masks at once with shifts and ANDs.
 """
 
 from __future__ import annotations
@@ -254,11 +256,11 @@ def _check_algorithms(
     for alpha, cls in merged.items():
         expected = cls.poly
         rng = random.Random(f"{seed}:{index}:{alpha}")
-        # No order: poly_nbb counts under the edge plan's order, not the edge ids.
-        produced = [asg.poly_nbb(g, cls.representative, budget=budget)]
+        # None: the count runs under the edge plan's order, not the edge ids.
+        orders = [None]
         for _ in range(RANDOM_ORDERS):
-            order = asg.EdgeOrder.shuffled(g, rng)
-            produced.append(asg.poly_nbb(g, cls.representative, order, budget=budget))
+            orders.append(asg.EdgeOrder.shuffled(g, rng))
+        produced = asg.poly_nbb_orders(g, cls.representative, orders, budget=budget)
         for poly in produced[1:]:
             suite2.checked += 1
             if poly != expected:

@@ -124,6 +124,14 @@ def test_structural_groups_stay_distinct():
     assert parse_group("Z4").order == parse_group("Z2xZ2").order
 
 
+def test_equal_specs_share_one_table():
+    # The hash is computed once per spec, from the cyclic orders alone.
+    first, second = parse_group("Z2xZ3"), GroupSpec([2, 3])
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert index_tables(first) is index_tables(second)
+
+
 def test_str_round_trip():
     for text in ("Z4", "Z2xZ2", "Z2xZ3"):
         assert str(parse_group(text)) == text

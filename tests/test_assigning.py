@@ -22,9 +22,10 @@ from flowpoly.assigning import (
     induced_assigning,
     is_A_connected,
     poly_nbb,
+    poly_nbb_orders,
     poly_subset_expansion,
 )
-from flowpoly.catalog import complete, cycle, path
+from flowpoly.catalog import all_multigraphs, complete, cycle, path
 from flowpoly.errors import BudgetError, IncompatibleError, InputError
 from flowpoly.flows import (
     BFunction,
@@ -698,6 +699,90 @@ def test_poly_nbb_validates_the_order_before_compatibility():
         poly_nbb(triangle(), incompatible, EdgeOrder((0, 1)))
     with pytest.raises(IncompatibleError):
         poly_nbb(triangle(), incompatible, EdgeOrder((2, 0, 1)))
+
+
+def _counting_loops(monkeypatch) -> list[int]:
+    """A list that takes the states summed by each state loop run.  Within
+    a loop the sum grows at every step that keeps a state, so a sum that
+    does not grow marks the start of the next loop."""
+    loops: list[int] = []
+    guard = assigning._guard
+
+    def counting(work, budget, what):
+        if loops and work > loops[-1]:
+            loops[-1] = work
+        else:
+            loops.append(work)
+        guard(work, budget, what)
+
+    monkeypatch.setattr(assigning, "_guard", counting)
+    return loops
+
+
+def test_orders_sharing_a_family_share_one_state_loop(monkeypatch):
+    # The plan's own order gives the broken bonds of no order at all, so
+    # those three orders run one loop; the edge ids give another family.
+    g = _prism_relabelled()
+    b = BFunction.zero(Z3, 20)
+    plan = _plan_order(g)
+    loops = _counting_loops(monkeypatch)
+    polys = poly_nbb_orders(g, b, (None, plan, plan), budget=230)
+    assert loops == [230]
+    assert polys == [poly_nbb(g, b)] * 3
+    loops.clear()
+    # Each loop counts its own states against the budget.
+    polys = poly_nbb_orders(g, b, (None, EdgeOrder.default(g), plan), budget=70965)
+    assert loops == [230, 70965]
+    assert len(set(polys)) == 1
+
+
+def test_orders_with_a_compatible_bridge_run_no_state_loop(monkeypatch):
+    # b = 0 makes the bridge compatible: its broken bond is empty and lies
+    # in every S, whatever the order.
+    b = BFunction.zero(Z3, 6)
+    orders = (None, EdgeOrder.default(BRIDGED), EdgeOrder.shuffled(BRIDGED, random.Random(2)))
+    loops = _counting_loops(monkeypatch)
+    polys = poly_nbb_orders(BRIDGED, b, orders)
+    assert [poly.is_zero for poly in polys] == [True] * 3
+    assert loops == []
+    one_side = BFunction(Z3, ((1,), (0,), (0,), (2,), (0,), (0,)))
+    assert not any(poly.is_zero for poly in poly_nbb_orders(BRIDGED, one_side, orders))
+    assert loops
+
+
+def test_poly_nbb_orders_validates_every_order_before_compatibility():
+    incompatible = BFunction(Z2, ((1,), (0,), (0,)))
+    with pytest.raises(InputError):
+        poly_nbb_orders(triangle(), incompatible, (None, EdgeOrder((0, 1))))
+    with pytest.raises(IncompatibleError):
+        poly_nbb_orders(triangle(), incompatible, (None, EdgeOrder((2, 0, 1))))
+    assert poly_nbb_orders(triangle(), BFunction.zero(Z2, 3), ()) == []
+
+
+def _orders_for(g: MultiGraph, rng: random.Random) -> tuple[EdgeOrder | None, ...]:
+    """No order, the edge ids, their reverse, two shuffles and a repeat."""
+    default = EdgeOrder.default(g)
+    shuffled = EdgeOrder.shuffled(g, rng)
+    reverse = EdgeOrder(default.sequence[::-1])
+    return (None, default, reverse, shuffled, EdgeOrder.shuffled(g, rng), shuffled)
+
+
+def test_poly_nbb_orders_matches_poly_nbb_over_a_small_catalog():
+    rng = random.Random(31)
+    for i, g in enumerate(all_multigraphs(3, 5)):
+        spec = SMALL_GROUPS[i % len(SMALL_GROUPS)]
+        orders = _orders_for(g, rng)
+        for b in (BFunction.zero(spec, g.vertex_count), _random_compatible_b(g, spec, rng)):
+            expected = [poly_nbb(g, b, order) for order in orders]
+            assert poly_nbb_orders(g, b, orders) == expected, (g, b)
+
+
+def test_poly_nbb_orders_matches_poly_nbb_over_wide_groups():
+    rng = random.Random(32)
+    for g, b, _ in _differential_cases(79):
+        orders = _orders_for(g, rng)
+        expected = [poly_nbb(g, b, order) for order in orders]
+        assert poly_nbb_orders(g, b, orders) == expected, (g, b)
 
 
 def test_poly_nbb_reads_no_edge_id_sets(monkeypatch):

@@ -43,13 +43,16 @@ def test_harness_detects_wrong_nbb(monkeypatch):
     import flowpoly.assigning as asg
     import flowpoly.harness as harness
 
-    real = asg.poly_nbb
+    real = asg.poly_nbb_orders
 
-    def corrupted(g, b, order=None, **kwargs):
-        coeffs = real(g, b, order, **kwargs).coefficients or (0,)
-        return IntPolynomial((coeffs[0] + 1,) + coeffs[1:])
+    def corrupted(g, b, orders, **kwargs):
+        polys = []
+        for poly in real(g, b, orders, **kwargs):
+            coeffs = poly.coefficients or (0,)
+            polys.append(IntPolynomial((coeffs[0] + 1,) + coeffs[1:]))
+        return polys
 
-    monkeypatch.setattr(harness.asg, "poly_nbb", corrupted)
+    monkeypatch.setattr(harness.asg, "poly_nbb_orders", corrupted)
     report = run_verification([triangle()], (parse_group("Z2"),), seed=0)
     assert not report.passed
     assert report["algorithm_equivalence"].failures > 0
@@ -149,9 +152,9 @@ def _record_budgets(monkeypatch, names):
 
 
 def test_budget_reaches_every_polynomial_call(monkeypatch):
-    seen = _record_budgets(monkeypatch, ("poly_subset_expansion", "poly_nbb"))
+    seen = _record_budgets(monkeypatch, ("poly_subset_expansion", "poly_nbb_orders"))
     run_verification([single_loop()], (parse_group("Z3"),), budget=12345)
-    assert {name for name, _ in seen} == {"poly_subset_expansion", "poly_nbb"}
+    assert {name for name, _ in seen} == {"poly_subset_expansion", "poly_nbb_orders"}
     assert {budget for _, budget in seen} == {12345}
 
 
@@ -167,6 +170,18 @@ def test_one_subset_expansion_per_assigning_class(monkeypatch):
     assert len(classes) > 1
     assert len(seen) == len(classes)
     assert report["comparison_monotonicity"].checked > len(classes)
+
+
+def test_one_broken_bond_call_per_assigning_class(monkeypatch):
+    # One call counts a class under the plan's order and every shuffle.
+    z3 = parse_group("Z3")
+    g = triangle()
+    seen = _record_budgets(monkeypatch, ("poly_nbb_orders", "poly_nbb"))
+    report = run_verification([g], (z3,))
+    classes = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, z3)}
+    assert [name for name, _ in seen] == ["poly_nbb_orders"] * len(classes)
+    assert report["order_independence"].checked == len(classes)
+    assert report["algorithm_equivalence"].checked == len(classes) * harness.RANDOM_ORDERS
 
 
 def test_lemma_suites_skip_graphs_above_the_subset_table():
