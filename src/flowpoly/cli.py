@@ -379,10 +379,20 @@ def _add_b_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_BUDGET,
         help="max edge functions, zero-sum boundary functions, vertex subsets "
         "and summed plan states that one enumeration may visit",

@@ -65,6 +65,15 @@ class MultiGraph:
             return value
 
     @classmethod
+    def _trusted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "MultiGraph":
+        """A graph whose edge ids strictly increase and whose endpoints lie
+        below vertex_count; valid by construction, so nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @classmethod
     def from_pairs(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "MultiGraph":
         """Build a graph with dense edge ids from (tail, head) pairs."""
         edges = tuple(Edge(i, t, h) for i, (t, h) in enumerate(pairs))

@@ -22,8 +22,10 @@ computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
 all from one ``assigning.poly_nbb_orders`` call: it checks compatibility
 and sums b over the bond sides once, and runs one state loop per distinct
 family of broken bonds.  The pairing lemma is checked under the default
-order and ``PAIRING_ORDERS`` shuffled ones.  The oracle counts and the
-orientation suite read one tally walk per group,
+order and ``PAIRING_ORDERS`` shuffled ones.  Every shuffle of a graph is
+drawn from one generator, seeded by (seed, graph index): the broken-bond
+suites draw theirs class by class, then the pairing suite.  The oracle
+counts and the orientation suite read one tally walk per group,
 ``flows.nz_orientation_walk``: it returns the nowhere-zero boundary
 histogram and the non-loop edges whose reversal would change it, so no
 reversed copy of the graph is built.  The lemma suites hold each class's
@@ -125,7 +127,8 @@ def run_verification(
 ) -> VerificationReport:
     """Run every verification suite over the given graphs and groups.
 
-    ``seed`` fixes the shuffled edge orders.  ``budget`` caps each
+    ``seed`` fixes the shuffled edge orders: those of the i-th graph come
+    from one generator seeded by (seed, i).  ``budget`` caps each
     enumeration of zero-sum boundary functions and of flows, as in the flows
     module, and the plan states of each call of either polynomial route.
     """
@@ -226,8 +229,11 @@ def _check_graph(
                 "some nowhere-zero flow count"
             )
 
-    _check_algorithms(index, g, merged, suites, seed, budget, label)
-    _check_lemmas(g, merged, suites, seed, label)
+    # One generator per graph: each suite draws its orders for each class
+    # from it, in the order the classes were first seen.
+    rng = random.Random(f"{seed}:{index}")
+    _check_algorithms(g, merged, suites, rng, budget, label)
+    _check_lemmas(g, merged, suites, rng, label)
     _check_group_invariance(specs, per_spec_classes, suites, label)
     _check_monotonicity(merged, suites, label)
 
@@ -243,19 +249,17 @@ def _check_graph(
 
 
 def _check_algorithms(
-    index: int,
     g: MultiGraph,
     merged: dict[int, _AssigningClass],
     suites: dict[str, SuiteResult],
-    seed: int,
+    rng: random.Random,
     budget: int,
     label: str,
 ) -> None:
     suite2 = suites["algorithm_equivalence"]
     suite_order = suites["order_independence"]
-    for alpha, cls in merged.items():
+    for cls in merged.values():
         expected = cls.poly
-        rng = random.Random(f"{seed}:{index}:{alpha}")
         # None: the count runs under the edge plan's order, not the edge ids.
         orders = [None]
         for _ in range(RANDOM_ORDERS):
@@ -280,7 +284,7 @@ def _check_lemmas(
     g: MultiGraph,
     merged: dict[int, _AssigningClass],
     suites: dict[str, SuiteResult],
-    seed: int,
+    rng: random.Random,
     label: str,
 ) -> None:
     suite_in = suites["inclusion_lemma"]
@@ -302,7 +306,10 @@ def _check_lemmas(
         for i in range(m)
     ]
     pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
-    for alpha, cls in merged.items():
+    # Edge ids rise with position, so the default order ranks each edge by
+    # its position.
+    positions = list(range(m))
+    for cls in merged.values():
         sigma = asg.compat_signature(g, cls.representative)
         compat = 0
         for pid, masks in enumerate(by_partition):
@@ -316,17 +323,18 @@ def _check_lemmas(
         if any((compat & holding[i]) >> (1 << i) & ~compat for i in range(m)):
             suite_in.fail(f"{label}: compatibility is not closed under shrinking the subset")
 
-        rng = random.Random(f"pairing:{seed}:{label}:{alpha}")
-        orders = [asg.EdgeOrder.default(g)]
+        edge_ranks = [positions]
         for _ in range(PAIRING_ORDERS):
-            orders.append(asg.EdgeOrder.shuffled(g, rng))
+            # A shuffle lists the positions from least to greatest; its
+            # inverse permutation gives each position its rank.
+            order = positions[:]
+            rng.shuffle(order)
+            edge_ranks.append(sorted(positions, key=order.__getitem__))
         compatible_bonds = [
             [pos_of[edge_id] for edge_id in bond]
             for bond in asg.b_compatible_bonds(g, cls.representative)
         ]
-        for order in orders:
-            rank = order.rank_map()
-            edge_rank = [rank[edge.id] for edge in g.edges]
+        for edge_rank in edge_ranks:
             suite_pair.checked += 1
             for bond in compatible_bonds:
                 top = max(bond, key=edge_rank.__getitem__)

@@ -53,6 +53,15 @@ def test_catalog_graphs_match_their_pairs_in_order():
     ]
 
 
+def test_catalog_graphs_pass_the_constructor_checks():
+    # The catalog builds its graphs unchecked; the checking constructor
+    # must accept each one and give an equal graph with an equal hash.
+    for g in all_multigraphs(3, 4):
+        checked = MultiGraph(g.vertex_count, g.edges)
+        assert g == checked
+        assert hash(g) == hash(checked)
+
+
 def test_catalog_graphs_share_edge_records():
     # One record per vertex count, edge position and endpoint slot:
     # 6 positions times 0 + 1 + 3 + 6 + 10 slots.

@@ -606,6 +606,16 @@ def test_check_honours_budget(capsys):
     assert "resource guard" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("subcommand", ["poly", "check"])
+def test_budget_below_one_is_a_parse_error(capsys, c3_file, subcommand, value):
+    argv = [c3_file, "--group", "Z3"] if subcommand == "poly" else ["--catalog", "cycles"]
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *argv, "--budget", value])
+    assert exc.value.code == EXIT_PARSE
+    assert f"--budget: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 # b = 0 needs no flag: "--b" is ambiguous between --b-file and --budget, or
 # abbreviates --budget where there is no --b-file.
 NO_SUCH_FLAGS = [["--force"], ["--b", "zero"]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import flowpoly.assigning as asg
@@ -39,6 +41,11 @@ def test_classical_checks_pass():
     assert suite.checked == 11
 
 
+def _shift_constant_term(poly: IntPolynomial) -> IntPolynomial:
+    coeffs = poly.coefficients or (0,)
+    return IntPolynomial((coeffs[0] + 1,) + coeffs[1:])
+
+
 def test_harness_detects_wrong_nbb(monkeypatch):
     import flowpoly.assigning as asg
     import flowpoly.harness as harness
@@ -46,17 +53,72 @@ def test_harness_detects_wrong_nbb(monkeypatch):
     real = asg.poly_nbb_orders
 
     def corrupted(g, b, orders, **kwargs):
-        polys = []
-        for poly in real(g, b, orders, **kwargs):
-            coeffs = poly.coefficients or (0,)
-            polys.append(IntPolynomial((coeffs[0] + 1,) + coeffs[1:]))
-        return polys
+        return [_shift_constant_term(poly) for poly in real(g, b, orders, **kwargs)]
 
     monkeypatch.setattr(harness.asg, "poly_nbb_orders", corrupted)
     report = run_verification([triangle()], (parse_group("Z2"),), seed=0)
     assert not report.passed
     assert report["algorithm_equivalence"].failures > 0
     assert report["algorithm_equivalence"].first_failure is not None
+
+
+def test_harness_detects_an_order_dependent_nbb(monkeypatch):
+    # Only orders that start with the greatest edge id see the defect, and
+    # the plan's order (None) never does.
+    real = asg.poly_nbb_orders
+
+    def corrupted(g, b, orders, **kwargs):
+        top = (max(g.edge_ids),) if g.edge_ids else ()
+        return [
+            _shift_constant_term(poly) if order is not None and order.sequence[:1] == top else poly
+            for order, poly in zip(orders, real(g, b, orders, **kwargs))
+        ]
+
+    monkeypatch.setattr(harness.asg, "poly_nbb_orders", corrupted)
+    report = run_verification(all_multigraphs(3, 4), default_groups(), seed=0)
+    assert report["order_independence"].failures > 0
+    assert report["algorithm_equivalence"].failures > 0
+    assert "depends on the edge order" in report["order_independence"].first_failure
+
+
+def test_one_generator_per_graph(monkeypatch):
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness.random, "Random", Counting)
+    report = run_verification([triangle(), k4()], default_groups(), seed=0)
+    assert report.passed
+    assert report["order_independence"].checked > 2
+    assert len(made) == 2
+
+
+def test_shuffled_orders_follow_the_seed(monkeypatch):
+    real = asg.poly_nbb_orders
+    seen = []
+
+    def recording(g, b, orders, **kwargs):
+        seen.append((g, [None if order is None else order.sequence for order in orders]))
+        return real(g, b, orders, **kwargs)
+
+    monkeypatch.setattr(harness.asg, "poly_nbb_orders", recording)
+    graphs = [triangle(), k4()]
+    runs = []
+    for seed in (0, 0, 1):
+        seen.clear()
+        run_verification(graphs, default_groups(), seed=seed)
+        runs.append(list(seen))
+    for g, orders in runs[0]:
+        assert orders[0] is None
+        assert len(orders) == 1 + harness.RANDOM_ORDERS
+        for sequence in orders[1:]:
+            assert sorted(sequence) == list(g.edge_ids)
+    assert runs[0] == runs[1]
+    assert k4().edge_count >= 4
+    assert [o for g, o in runs[0] if g == k4()] != [o for g, o in runs[2] if g == k4()]
 
 
 def _shift_brute_force_counts(monkeypatch) -> None:
