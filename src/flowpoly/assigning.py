@@ -30,12 +30,13 @@ They share no other code.
 
 Both polynomials depend on b only through its assigning α, which
 ``induced_assigning`` returns as an int with one bit per member of
-``lambda_family(g)``; the verification harness keys its classes of
-boundary functions by it.  Whether G - S is compatible with b depends only
-on the connected partition of G - S: for graphs of at most 10 edges,
-``_structure`` tabulates that partition for every subset S and
-``compat_signature`` records which partitions b makes compatible.  Only
-the harness's per-subset lemma suites read the table.
+``lambda_family(g)``, set where ``flows.block_sums`` is nonzero; the
+verification harness keys its classes of boundary functions by it.
+Whether G - S is compatible with b depends only on the connected partition
+of G - S: for graphs of at most 10 edges, ``_structure`` tabulates that
+partition for every subset S and ``compat_signature`` records which
+partitions b makes compatible, from one ``block_sums`` call over their
+distinct blocks.  Only the harness's per-subset lemma suites read the table.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .flows import (
     BFunction,
     _check_vertex_function,
     _guard,
+    block_sums,
     count_nz_flows_bruteforce,
     enumerate_zero_sum,
     require_compatible,
@@ -102,13 +104,8 @@ def induced_assigning(g: MultiGraph, b: BFunction) -> int:
     the i-th member of ``lambda_family(g)``.  An assigning a is pointwise at
     most a2 exactly when ``a & ~a2 == 0``."""
     _check_vertex_function(g, b)
-    add, _ = index_tables(b.spec)
-    idx = b.indices
     bits = 0
-    for i, member in enumerate(_lambda_family_cached(g)):
-        total = 0
-        for v in member:
-            total = add[total][idx[v]]
+    for i, total in enumerate(block_sums(b, _lambda_family_cached(g))):
         if total:
             bits |= 1 << i
     return bits
@@ -180,18 +177,13 @@ def compat_signature(g: MultiGraph, b: BFunction) -> int:
     if g.edge_count > _TABLE_MAX_EDGES:
         raise BudgetError("compat signatures need the per-subset table (at most 10 edges)")
     _check_vertex_function(g, b)
-    st = _structure(g)
-    add, _ = index_tables(b.spec)
-    idx = b.indices
+    partitions = _structure(g).partitions
+    # Partitions share blocks, so each distinct block is summed once.
+    blocks = {block: None for partition in partitions for block in partition}
+    zero = {block for block, total in zip(blocks, block_sums(b, blocks)) if not total}
     bits = 0
-    for j, partition in enumerate(st.partitions):
-        for block in partition:
-            total = 0
-            for v in block:
-                total = add[total][idx[v]]
-            if total:
-                break
-        else:
+    for j, partition in enumerate(partitions):
+        if zero.issuperset(partition):
             bits |= 1 << j
     return bits
 
@@ -362,6 +354,8 @@ def _compatible_cuts(g: MultiGraph, b: BFunction) -> list[int]:
     nonzero = [(1 << v, i) for v, i in enumerate(b.indices) if i]
     out = []
     for side, cut in side_cuts(g):
+        # Summed by hand, not by block_sums: the sides are vertex masks,
+        # and only b's nonzero vertices need scanning.
         total = 0
         for bit, i in nonzero:
             if side & bit:

@@ -2,9 +2,10 @@
 
 Reports are JSON objects with fixed key order, printed to stdout.  Exit
 codes: 0 success, 2 parse or input error, 3 incompatible boundary function,
-4 resource guard, 5 verification failure.  A reader that closes the pipe
-before the report ends (``flowpoly bonds g | head``) cuts the report short
-but changes no exit code: the command still exits with its own.
+4 resource guard (out of memory included), 5 verification failure.  A
+reader that closes the pipe before the report ends (``flowpoly bonds g |
+head``) cuts the report short but changes no exit code: the command still
+exits with its own.
 """
 
 from __future__ import annotations
@@ -496,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except BudgetError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource guard: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -17,6 +17,10 @@ zero-sum enumeration adds and negates through the group's index tables and
 builds its BFunctions from ``spec.elements()`` values without checking them
 again, and histograms are keyed by index tuples, decoded to residues only
 by ``nz_flow_boundary_counts``.
+
+Both central notions ask whether b sums to zero on a vertex set: on every
+component for compatibility, on each member of Λ(G) for the assigning.
+``block_sums`` is the one routine that takes those sums.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Collection, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .abelian import GroupElement, GroupSpec, index_tables
 from .errors import BudgetError, IncompatibleError, InputError
@@ -108,29 +112,26 @@ def boundary(g: MultiGraph, f: EdgeFunction) -> BFunction:
     return BFunction(spec, tuple(acc))
 
 
-def vertex_sum(b: BFunction, vertices: Collection[int]) -> int:
-    """The element index of the sum of b over a vertex set; 0 is the zero.
-
-    The sum runs on b's index vector through the group's addition table:
-    b's values were validated when b was built, so nothing is checked here.
-    """
+def block_sums(b: BFunction, blocks: Iterable[Collection[int]]) -> list[int]:
+    """The element index of b's sum over each vertex set, in order; 0 is the
+    zero.  b was validated when built, so the sums run on its indices
+    through the group's addition table and check nothing."""
     add, _ = index_tables(b.spec)
     indices = b.indices
-    total = 0
-    for v in vertices:
-        total = add[total][indices[v]]
-    return total
+    sums = []
+    for block in blocks:
+        total = 0
+        for v in block:
+            total = add[total][indices[v]]
+        sums.append(total)
+    return sums
 
 
 def incompatible_component(g: MultiGraph, b: BFunction) -> tuple[VertexSet, GroupElement] | None:
     """The first component whose b-values do not sum to zero, with that sum."""
     _check_vertex_function(g, b)
-    add, _ = index_tables(b.spec)
-    indices = b.indices
-    for comp in components(g):
-        total = 0
-        for v in comp:
-            total = add[total][indices[v]]
+    comps = components(g)
+    for comp, total in zip(comps, block_sums(b, comps)):
         if total:
             return comp, b.spec.element_at(total)
     return None
@@ -178,6 +179,8 @@ def enumerate_zero_sum(
         for v, i in zip(free, combo):
             idx[v] = i
         for pin, others in pins:
+            # Summed by hand, not by block_sums: idx is still partial and
+            # no BFunction exists yet.
             total = 0
             for v in others:
                 total = add[total][idx[v]]
@@ -189,15 +192,9 @@ def count_flows(g: MultiGraph, b: BFunction) -> int:
     """Number of (A, b)-flows with zeros allowed: |A|^m(G) when the graph is
     b-compatible, otherwise 0."""
     _check_vertex_function(g, b)
-    add, _ = index_tables(b.spec)
-    indices = b.indices
     comps = components(g)
-    for comp in comps:
-        total = 0
-        for v in comp:
-            total = add[total][indices[v]]
-        if total:
-            return 0
+    if any(block_sums(b, comps)):
+        return 0
     return b.spec.order ** (g.edge_count - g.vertex_count + len(comps))
 
 

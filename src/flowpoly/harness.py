@@ -22,15 +22,15 @@ computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
 all from one ``assigning.poly_nbb_orders`` call: it checks compatibility
 and sums b over the bond sides once, and runs one state loop per distinct
 family of broken bonds.  The pairing lemma is checked under the default
-order and ``PAIRING_ORDERS`` shuffled ones.  Every shuffle of a graph is
-drawn from one generator, seeded by (seed, graph index): the broken-bond
-suites draw theirs class by class, then the pairing suite.  The oracle
-counts and the orientation suite read one tally walk per group,
-``flows.nz_orientation_walk``: it returns the nowhere-zero boundary
-histogram and the non-loop edges whose reversal would change it, so no
-reversed copy of the graph is built.  The lemma suites hold each class's
-compatible edge subsets as one int, bit S for subset mask S, and test each
-implication over all masks at once with shifts and ANDs.
+order and the first ``PAIRING_ORDERS`` of those shuffled ones.  Every
+shuffle of a graph is drawn once, class by class, from one generator
+seeded by (seed, graph index).  The oracle counts and the orientation
+suite read one tally walk per group, ``flows.nz_orientation_walk``: it
+returns the nowhere-zero boundary histogram and the non-loop edges whose
+reversal would change it, so no reversed copy of the graph is built.
+The lemma suites hold each class's compatible edge subsets as one int, bit
+S for subset mask S, and test each implication over all masks at once
+with shifts and ANDs.
 """
 
 from __future__ import annotations
@@ -229,11 +229,12 @@ def _check_graph(
                 "some nowhere-zero flow count"
             )
 
-    # One generator per graph: each suite draws its orders for each class
-    # from it, in the order the classes were first seen.
+    # One generator per graph draws each class's shuffled orders, in the
+    # order the classes were first seen; both order-dependent suites read them.
     rng = random.Random(f"{seed}:{index}")
-    _check_algorithms(g, merged, suites, rng, budget, label)
-    _check_lemmas(g, merged, suites, rng, label)
+    shuffles = [[asg.EdgeOrder.shuffled(g, rng) for _ in range(RANDOM_ORDERS)] for _ in merged]
+    _check_algorithms(g, merged, shuffles, suites, budget, label)
+    _check_lemmas(g, merged, shuffles, suites, label)
     _check_group_invariance(specs, per_spec_classes, suites, label)
     _check_monotonicity(merged, suites, label)
 
@@ -251,19 +252,17 @@ def _check_graph(
 def _check_algorithms(
     g: MultiGraph,
     merged: dict[int, _AssigningClass],
+    shuffles: list[list[asg.EdgeOrder]],
     suites: dict[str, SuiteResult],
-    rng: random.Random,
     budget: int,
     label: str,
 ) -> None:
     suite2 = suites["algorithm_equivalence"]
     suite_order = suites["order_independence"]
-    for cls in merged.values():
+    for cls, shuffled in zip(merged.values(), shuffles):
         expected = cls.poly
         # None: the count runs under the edge plan's order, not the edge ids.
-        orders = [None]
-        for _ in range(RANDOM_ORDERS):
-            orders.append(asg.EdgeOrder.shuffled(g, rng))
+        orders = [None, *shuffled]
         produced = asg.poly_nbb_orders(g, cls.representative, orders, budget=budget)
         for poly in produced[1:]:
             suite2.checked += 1
@@ -283,8 +282,8 @@ def _check_algorithms(
 def _check_lemmas(
     g: MultiGraph,
     merged: dict[int, _AssigningClass],
+    shuffles: list[list[asg.EdgeOrder]],
     suites: dict[str, SuiteResult],
-    rng: random.Random,
     label: str,
 ) -> None:
     suite_in = suites["inclusion_lemma"]
@@ -306,10 +305,8 @@ def _check_lemmas(
         for i in range(m)
     ]
     pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
-    # Edge ids rise with position, so the default order ranks each edge by
-    # its position.
-    positions = list(range(m))
-    for cls in merged.values():
+    default = asg.EdgeOrder.default(g)
+    for cls, shuffled in zip(merged.values(), shuffles):
         sigma = asg.compat_signature(g, cls.representative)
         compat = 0
         for pid, masks in enumerate(by_partition):
@@ -323,13 +320,11 @@ def _check_lemmas(
         if any((compat & holding[i]) >> (1 << i) & ~compat for i in range(m)):
             suite_in.fail(f"{label}: compatibility is not closed under shrinking the subset")
 
-        edge_ranks = [positions]
-        for _ in range(PAIRING_ORDERS):
-            # A shuffle lists the positions from least to greatest; its
-            # inverse permutation gives each position its rank.
-            order = positions[:]
-            rng.shuffle(order)
-            edge_ranks.append(sorted(positions, key=order.__getitem__))
+        # The rank of each edge position under each order.
+        edge_ranks = []
+        for order in [default, *shuffled[:PAIRING_ORDERS]]:
+            rank = order.rank_map()
+            edge_ranks.append([rank[edge.id] for edge in g.edges])
         compatible_bonds = [
             [pos_of[edge_id] for edge_id in bond]
             for bond in asg.b_compatible_bonds(g, cls.representative)

@@ -29,10 +29,12 @@ from flowpoly.catalog import all_multigraphs, complete, cycle, path
 from flowpoly.errors import BudgetError, IncompatibleError, InputError
 from flowpoly.flows import (
     BFunction,
+    block_sums,
+    count_flows,
     count_nz_flows_bruteforce,
     enumerate_zero_sum,
+    incompatible_component,
     is_b_compatible,
-    vertex_sum,
 )
 from flowpoly.graphs import (
     MultiGraph,
@@ -873,12 +875,48 @@ def test_poly_nbb_matches_subset_expansion_under_every_order():
 
 def test_bond_lists_match_their_definition():
     for g, b, orders in _differential_cases(78):
-        compatible = [bond for bond, side in bond_sides(g) if not vertex_sum(b, side)]
+        compatible = [bond for bond, side in bond_sides(g) if not block_sums(b, [side])[0]]
         assert b_compatible_bonds(g, b) == compatible
         for order in orders:
             rank = (order or EdgeOrder.default(g)).rank_map()
             broken = {bond - {max(bond, key=rank.__getitem__)} for bond in compatible}
             assert broken_bonds(g, b, order) == sorted(broken, key=sorted), (g, b, order)
+
+
+def _residue_sum(b: BFunction, vertices) -> tuple[int, ...]:
+    total = b.spec.zero
+    for v in vertices:
+        total = b.spec.add(total, b.values[v])
+    return total
+
+
+def test_block_sum_readers_match_residue_arithmetic():
+    # Each reader of block_sums against its definition, with the sums taken
+    # in residues; b need not be compatible.
+    rng = random.Random(79)
+    for g in DIFFERENTIAL:
+        comps = components(g)
+        members = lambda_family(g)
+        partitions = assigning._structure(g).partitions if g.edge_count <= 10 else ()
+        for spec in WIDE_GROUPS:
+            elems = list(spec.elements())
+            free = BFunction(spec, tuple(rng.choice(elems) for _ in range(g.vertex_count)))
+            for b in (free, _random_compatible_b(g, spec, rng)):
+                zero = spec.zero
+                alpha = induced_assigning(g, b)
+                for i, member in enumerate(members):
+                    assert alpha >> i & 1 == (_residue_sum(b, member) != zero), (g, b, i)
+                sums = [(comp, _residue_sum(b, comp)) for comp in comps]
+                offender = next(((comp, s) for comp, s in sums if s != zero), None)
+                assert incompatible_component(g, b) == offender, (g, b)
+                expected = 0 if offender else spec.order ** cycle_rank(g)
+                assert count_flows(g, b) == expected, (g, b)
+                if not partitions:
+                    continue  # compat_signature needs the per-subset table
+                sigma = compat_signature(g, b)
+                for j, partition in enumerate(partitions):
+                    compatible = all(_residue_sum(b, block) == zero for block in partition)
+                    assert sigma >> j & 1 == compatible, (g, b, j)
 
 
 def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -759,3 +760,29 @@ def test_closed_pipe_ends_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 0
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+def _limit_address_space() -> None:
+    limit = 400_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["flows", "poly", "decompose", "connectivity"])
+def test_out_of_memory_is_a_resource_guard(tmp_path, command):
+    # 30 million vertices overrun a 400 MB address space, in the zero b or
+    # the adjacency lists; the command must end with exit 4, not a traceback.
+    graph = tmp_path / "huge.graph"
+    graph.write_text("30000000 0\n")
+    src = str(Path(flowpoly.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowpoly.cli", command, str(graph), "--group", "Z2"],
+        capture_output=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_RESOURCE, proc.stderr
+    assert b"Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr == b"resource guard: out of memory\n"
