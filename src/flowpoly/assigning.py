@@ -32,11 +32,12 @@ Both polynomials depend on b only through its assigning α, which
 ``induced_assigning`` returns as an int with one bit per member of
 ``lambda_family(g)``, set where ``flows.block_sums`` is nonzero; the
 verification harness keys its classes of boundary functions by it.
-Whether G - S is compatible with b depends only on the connected partition
-of G - S: for graphs of at most 10 edges, ``_structure`` tabulates that
-partition for every subset S and ``compat_signature`` records which
-partitions b makes compatible, from one ``block_sums`` call over their
-distinct blocks.  Only the harness's per-subset lemma suites read the table.
+Whether G - S is compatible with b depends only on the blocks of G - S:
+for graphs of at most 10 edges, ``_structure`` lists each distinct block
+of every G - S with the set of subsets S whose G - S has it, and
+``compat_signature`` returns the compatible subsets as one int, bit S for
+subset mask S, from one ``block_sums`` call over those blocks.  Only the
+harness's per-subset lemma suites read it.
 """
 
 from __future__ import annotations
@@ -112,25 +113,26 @@ def induced_assigning(g: MultiGraph, b: BFunction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-subset partition tables, for the harness's lemma suites.
+# Per-subset compatibility, for the harness's lemma suites.
 
 
 @dataclass(frozen=True)
 class _SubsetStructure:
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]  # partitions[0] = components of G
-    partition_id: tuple[int, ...]  # per edge-subset mask
+    blocks: tuple[tuple[int, ...], ...]  # each distinct block of every G - S
+    holders: tuple[int, ...]  # per block: bit S set when G - S has it
 
 
 @lru_cache(maxsize=4096)
 def _structure(g: MultiGraph) -> _SubsetStructure:
-    """The partition of G - S for every mask S (bit i is the edge at position i).
+    """Each distinct block of G - S over all masks S (bit i is the edge at
+    position i), with the masks whose G - S has it.
 
-    Read by the verification harness, for its per-subset lemma suites.  The
-    walk needs no union-find: it carries each partition as a tuple of
-    least-vertex block labels, and a kept edge between two blocks relabels
-    the higher label to the lower.  Edges are decided from the last position
-    down, keep before delete, so leaves arrive in increasing mask order.  Ids
-    follow first occurrence.
+    Read by ``compat_signature``.  The walk needs no union-find: it carries
+    each partition as a tuple of least-vertex block labels, and a kept edge
+    between two blocks relabels the higher label to the lower.  Edges are
+    decided from the last position down, keep before delete, so leaves
+    arrive in increasing mask order.  Blocks list their vertices in
+    increasing order and follow first occurrence.
     """
     n, m = g.vertex_count, g.edge_count
     pairs = g.pairs()
@@ -153,39 +155,39 @@ def _structure(g: MultiGraph) -> _SubsetStructure:
         descend(m - 1, tuple(range(n)))
     else:
         leaves.append(tuple(range(n)))
-    index: dict[tuple[int, ...], int] = {}
-    partition_id = tuple([index.setdefault(labels, len(index)) for labels in leaves])
-    partitions: list[tuple[tuple[int, ...], ...]] = []
-    for labels in index:  # first occurrence order; blocks by least member
+    partitions: dict[tuple[int, ...], int] = {}
+    for mask, labels in enumerate(leaves):
+        partitions[labels] = partitions.get(labels, 0) | 1 << mask
+    holders: dict[tuple[int, ...], int] = {}
+    for labels, masks in partitions.items():
         members: dict[int, list[int]] = {}
         for v, label in enumerate(labels):
             members.setdefault(label, []).append(v)
-        partitions.append(tuple(map(tuple, members.values())))
-    return _SubsetStructure(tuple(partitions), partition_id)
+        for block in map(tuple, members.values()):
+            holders[block] = holders.get(block, 0) | masks
+    return _SubsetStructure(tuple(holders), tuple(holders.values()))
 
 
 def compat_signature(g: MultiGraph, b: BFunction) -> int:
-    """Bitmask recording which subset partitions of g are compatible with b.
+    """The edge subsets whose removal leaves g compatible with b, as an int:
+    bit S is set exactly when every block of G - S sums to zero under b,
+    for S the mask with bit i for the edge at position i.
 
-    Bit j is set when every block of the j-th partition (as enumerated by the
-    cached subset table) sums to zero under b.  It and ``induced_assigning``
-    determine each other on one graph.  The verification harness reads
-    per-mask compatibility from it, once per assigning class, and does not
-    key by it.  Only available while the subset table fits (edge count at
-    most 10).
+    A subset is incompatible when some block of G - S has a nonzero sum, so
+    the result is the complement of the masks holding such a block.  Only
+    available while the subsets fit (edge count at most 10); above that,
+    BudgetError.  It and ``induced_assigning`` determine each other on one
+    graph.
     """
     if g.edge_count > _TABLE_MAX_EDGES:
-        raise BudgetError("compat signatures need the per-subset table (at most 10 edges)")
+        raise BudgetError("compat signatures hold one bit per edge subset (at most 10 edges)")
     _check_vertex_function(g, b)
-    partitions = _structure(g).partitions
-    # Partitions share blocks, so each distinct block is summed once.
-    blocks = {block: None for partition in partitions for block in partition}
-    zero = {block for block, total in zip(blocks, block_sums(b, blocks)) if not total}
-    bits = 0
-    for j, partition in enumerate(partitions):
-        if zero.issuperset(partition):
-            bits |= 1 << j
-    return bits
+    table = _structure(g)
+    bad = 0
+    for masks, total in zip(table.holders, block_sums(b, table.blocks)):
+        if total:
+            bad |= masks
+    return ~bad & (1 << (1 << g.edge_count)) - 1
 
 
 def poly_subset_expansion(

@@ -70,7 +70,7 @@ class BFunction:
 
     @classmethod
     def zero(cls, spec: GroupSpec, vertex_count: int) -> "BFunction":
-        return cls(spec, (spec.zero,) * vertex_count)
+        return cls._trusted(spec, (spec.zero,) * vertex_count, (0,) * vertex_count)
 
     @property
     def is_zero(self) -> bool:

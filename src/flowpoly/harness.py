@@ -28,9 +28,10 @@ seeded by (seed, graph index).  The oracle counts and the orientation
 suite read one tally walk per group, ``flows.nz_orientation_walk``: it
 returns the nowhere-zero boundary histogram and the non-loop edges whose
 reversal would change it, so no reversed copy of the graph is built.
-The lemma suites hold each class's compatible edge subsets as one int, bit
-S for subset mask S, and test each implication over all masks at once
-with shifts and ANDs.
+The lemma suites read each class's compatible edge subsets from
+``assigning.compat_signature`` as one int, bit S for subset mask S, and
+test each implication over all masks at once with shifts and ANDs.  Above
+10 edges it raises BudgetError, and they count their checks as skipped.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Sequence
 from . import assigning as asg
 from .abelian import GroupSpec, parse_group
 from .catalog import bridged_triangles, complete, cycle, path
-from .errors import ConsistencyError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .flows import (
     BFunction,
     DEFAULT_BUDGET,
@@ -288,17 +289,14 @@ def _check_lemmas(
 ) -> None:
     suite_in = suites["inclusion_lemma"]
     suite_pair = suites["broken_bond_pairing"]
-    if g.edge_count > asg._TABLE_MAX_EDGES:  # the per-subset table would not fit
+    try:
+        compats = [asg.compat_signature(g, cls.representative) for cls in merged.values()]
+    except BudgetError:  # more edges than the per-subset bitset covers
         suite_in.skipped += len(merged)
         suite_pair.skipped += len(merged) * (PAIRING_ORDERS + 1)
         return
-    # by_partition[j] has bit S for each subset mask S whose partition is
-    # the j-th; holding[i] has bit S for each mask S that deletes edge i.
+    # holding[i] has bit S for each subset mask S that deletes edge i.
     m = g.edge_count
-    partition_id = asg._structure(g).partition_id
-    by_partition = [0] * (max(partition_id) + 1)
-    for mask, pid in enumerate(partition_id):
-        by_partition[pid] |= 1 << mask
     every = (1 << (1 << m)) - 1
     holding = [
         ((1 << (1 << i)) - 1 << (1 << i)) * (every // ((1 << (2 << i)) - 1))
@@ -306,12 +304,7 @@ def _check_lemmas(
     ]
     pos_of = {edge.id: i for i, edge in enumerate(g.edges)}
     default = asg.EdgeOrder.default(g)
-    for cls, shuffled in zip(merged.values(), shuffles):
-        sigma = asg.compat_signature(g, cls.representative)
-        compat = 0
-        for pid, masks in enumerate(by_partition):
-            if sigma >> pid & 1:
-                compat |= masks
+    for cls, shuffled, compat in zip(merged.values(), shuffles, compats):
         # Deleting one more edge never breaks compatibility; the general
         # subset-pair statement follows by chaining single removals.  The
         # compatible masks that delete edge i, shifted down by 2^i, are

@@ -212,16 +212,17 @@ def test_subset_table_matches_definition():
         seen_parallel |= len({frozenset(p) for p in pairs}) < m
         g = MultiGraph.from_pairs(n, pairs)
         table = assigning._structure(g)
-        assert len(table.partition_id) == 1 << m
+        assert len(table.holders) == len(table.blocks)
         subsets = _literal_subsets(g)
-        first_seen: list[int] = []
-        for mask, pid in enumerate(table.partition_id):
-            if pid not in first_seen:
-                assert pid == len(first_seen)
-                first_seen.append(pid)
-            expected = tuple(tuple(sorted(block)) for block in components(subsets[mask][0]))
-            assert table.partitions[pid] == expected
-        assert len(first_seen) == len(table.partitions)
+        first_seen: list[tuple[int, ...]] = []
+        for mask, (rest, _, _) in enumerate(subsets):
+            expected = sorted(tuple(sorted(block)) for block in components(rest))
+            held = [block for block, masks in zip(table.blocks, table.holders) if masks >> mask & 1]
+            assert sorted(held) == expected, (g, mask)
+            first_seen += [block for block in expected if block not in first_seen]
+        # Every block listed once, in the order the masks first hold it.
+        assert list(table.blocks) == first_seen
+        assert all(masks >> (1 << m) == 0 for masks in table.holders)
 
         order = EdgeOrder.shuffled(g, rng)
         for spec in WIDE_GROUPS:
@@ -897,7 +898,11 @@ def test_block_sum_readers_match_residue_arithmetic():
     for g in DIFFERENTIAL:
         comps = components(g)
         members = lambda_family(g)
-        partitions = assigning._structure(g).partitions if g.edge_count <= 10 else ()
+        # The blocks of G - S for every subset mask S, while compat_signature
+        # covers the graph.
+        splits = (
+            [components(rest) for rest, _, _ in _literal_subsets(g)] if g.edge_count <= 10 else ()
+        )
         for spec in WIDE_GROUPS:
             elems = list(spec.elements())
             free = BFunction(spec, tuple(rng.choice(elems) for _ in range(g.vertex_count)))
@@ -911,12 +916,13 @@ def test_block_sum_readers_match_residue_arithmetic():
                 assert incompatible_component(g, b) == offender, (g, b)
                 expected = 0 if offender else spec.order ** cycle_rank(g)
                 assert count_flows(g, b) == expected, (g, b)
-                if not partitions:
-                    continue  # compat_signature needs the per-subset table
-                sigma = compat_signature(g, b)
-                for j, partition in enumerate(partitions):
-                    compatible = all(_residue_sum(b, block) == zero for block in partition)
-                    assert sigma >> j & 1 == compatible, (g, b, j)
+                if not splits:
+                    continue  # compat_signature stops at 10 edges
+                compat = compat_signature(g, b)
+                assert compat >> len(splits) == 0, (g, b)
+                for mask, blocks in enumerate(splits):
+                    compatible = all(_residue_sum(b, block) == zero for block in blocks)
+                    assert compat >> mask & 1 == compatible, (g, b, mask)
 
 
 def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():

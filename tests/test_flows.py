@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpoly import flows
-from flowpoly.abelian import parse_group
+from flowpoly.abelian import GroupSpec, parse_group
 from flowpoly.catalog import all_multigraphs, cycle
 from flowpoly.errors import BudgetError, InputError
 from flowpoly.flows import (
@@ -154,6 +154,23 @@ def test_enumerated_b_equal_validated_b():
             assert b.values == tuple(spec.element_at(i) for i in b.indices)
             count += 1
         assert count == spec.order ** 4
+
+
+def test_zero_bfunction_equals_validated_zero_without_validating(monkeypatch):
+    calls = Counter()
+    real = GroupSpec.index_of
+    monkeypatch.setattr(
+        GroupSpec, "index_of", lambda spec, x: calls.update([spec]) or real(spec, x)
+    )
+    for spec in WIDE_GROUPS:
+        for n in (0, 1, 5):
+            zero = BFunction.zero(spec, n)
+            assert calls[spec] == 0
+            built = BFunction(spec, (spec.zero,) * n)
+            assert calls[spec] == n  # the counter sees the validated constructor
+            assert zero == built and hash(zero) == hash(built)
+            assert zero.indices == built.indices
+            calls.clear()
 
 
 def test_bfunction_still_validates_residues():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -274,17 +276,16 @@ def test_orientation_suite_fails_once_per_changing_reversal():
 
 
 def _corrupt_signatures(monkeypatch, corrupt) -> None:
-    """Make the lemma suites read corrupt(sigma) for every compat signature."""
+    """Make the lemma suites read corrupt(compat) for every compat signature."""
     real = asg.compat_signature
     monkeypatch.setattr(asg, "compat_signature", lambda g, b: corrupt(real(g, b)))
 
 
 def test_inclusion_lemma_fails_on_a_corrupted_signature(monkeypatch):
-    # Partition 0 is G's own components, the partition of S = {} and of
-    # each single triangle edge.  Without it, some bond of the triangle
-    # stays compatible for each of the four classes over Z2, but one edge
-    # of it alone does not.
-    _corrupt_signatures(monkeypatch, lambda sigma: sigma & ~1)
+    # Bit 0 is S = {}.  Without it, each of the four classes over Z2 still
+    # has every single triangle edge compatible, but putting that edge
+    # back gives S = {}, which is not.
+    _corrupt_signatures(monkeypatch, lambda compat: compat & ~1)
     report = run_verification([triangle()], (parse_group("Z2"),), seed=0)
     assert report["inclusion_lemma"].failures == report["inclusion_lemma"].checked == 4
     assert "not closed under shrinking" in report["inclusion_lemma"].first_failure
@@ -292,14 +293,35 @@ def test_inclusion_lemma_fails_on_a_corrupted_signature(monkeypatch):
 
 
 def test_pairing_lemma_fails_on_a_corrupted_signature(monkeypatch):
-    # Only G's own components compatible: one deleted triangle edge is, but
+    # Keep only S in {{}, {e0}, {e1}, {e2}}, the subsets that leave the
+    # triangle connected: one deleted triangle edge is compatible, but
     # deleting the other edge of its bond as well splits the triangle.
     # Each of the four classes over Z2 has a compatible bond, and each
     # order finds it.
-    _corrupt_signatures(monkeypatch, lambda sigma: sigma & 1)
+    _corrupt_signatures(monkeypatch, lambda compat: compat & 0b10111)
     report = run_verification([triangle()], (parse_group("Z2"),), seed=0)
     pairing = report["broken_bond_pairing"]
     assert pairing.checked == 4 * (1 + harness.PAIRING_ORDERS)
     assert pairing.failures == pairing.checked
     assert "adding back the greatest bond edge" in pairing.first_failure
     assert report["inclusion_lemma"].failures == 0
+
+
+def test_harness_reads_no_private_name_of_assigning():
+    # The harness reaches assigning only through its public names, so the
+    # encoding of per-subset compatibility stays inside assigning.
+    tree = ast.parse(Path(harness.__file__).read_text())
+    private = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "asg"
+        and node.attr.startswith("_")
+    ]
+    assert private == []
+    # The walk does see the harness's public reads of asg.
+    assert any(
+        isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "asg"
+        for node in ast.walk(tree)
+    )
