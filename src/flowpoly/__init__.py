@@ -74,6 +74,8 @@ def clear_caches() -> None:
         graphs.side_cuts,
         graphs._edge_plan,
         flows._boundary_histogram,
+        flows._column_tables,
+        flows._elements,
         assigning._structure,
     ):
         cache.cache_clear()

@@ -30,8 +30,12 @@ They share no other code.
 
 Both polynomials depend on b only through its assigning α, which
 ``induced_assigning`` returns as an int with one bit per member of
-``lambda_family(g)``, set where ``flows.block_sums`` is nonzero; the
-verification harness keys its classes of boundary functions by it.
+``lambda_family(g)``, set where ``flows.block_sums`` is nonzero.
+``zero_sum_assignings`` gives the same bits for every zero-sum b of one
+(graph, group), with each b's index tuple and its compatibility verdict,
+from one pass of ``flows.block_sum_columns`` per chunk of b; the
+verification harness and ``is_A_connected`` key their classes of boundary
+functions by it.
 Whether G - S is compatible with b depends only on the blocks of G - S:
 for graphs of at most 10 edges, ``_structure`` lists each distinct block
 of every G - S with the set of subsets S whose G - S has it, and
@@ -46,7 +50,9 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import repeat
+from operator import not_
+from typing import Iterator, Sequence
 
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
@@ -55,10 +61,13 @@ from .flows import (
     BFunction,
     _check_vertex_function,
     _guard,
+    block_sum_columns,
     block_sums,
-    count_nz_flows_bruteforce,
-    enumerate_zero_sum,
+    column_rows,
+    nonzero_bits,
+    nz_flow_index_counts,
     require_compatible,
+    zero_sum_columns,
 )
 from .graphs import (
     EdgeSet,
@@ -66,6 +75,7 @@ from .graphs import (
     _edge_plan,
     _lambda_family_cached,
     _plan_edge_sets,
+    components,
     cycle_rank,
     side_cuts,
 )
@@ -110,6 +120,44 @@ def induced_assigning(g: MultiGraph, b: BFunction) -> int:
         if total:
             bits |= 1 << i
     return bits
+
+
+def zero_sum_assignings(
+    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """For each locally zero-sum b, in the order of ``enumerate_zero_sum``:
+    its element indices (the form of ``BFunction.indices``), its assigning
+    as ``induced_assigning`` gives it, and whether b sums to zero on every
+    component, as ``is_b_compatible`` decides.
+
+    Each chunk of ``flows.zero_sum_columns`` costs one ``block_sum_columns``
+    pass over Λ(G) and the components.  The nonzero flags of members 8j to
+    8j + 7 are packed into the bits of one byte column, so row t's bytes
+    across those columns, read little-endian, are its assigning.  The
+    verdict is read from the component-sum columns, not assumed from how
+    the b were built.  The budget caps the |A|^(|V| - c(G)) b, and
+    BudgetError is raised before any column is built.
+    """
+    for size, columns in zero_sum_columns(g, spec, budget=budget):
+        # Read after the budget guard, from the caches, once per chunk.
+        family = _lambda_family_cached(g)
+        comps = components(g)
+        sums = block_sum_columns(spec, size, columns, family + comps)
+        packed = [0] * (len(family) + 7 >> 3)
+        for i, column in enumerate(sums[: len(family)]):
+            packed[i >> 3] |= nonzero_bits(column, i & 7)
+        bytes_columns = [bits.to_bytes(size, "little") for bits in packed]
+        if len(bytes_columns) == 1:
+            alphas = bytes_columns[0]
+        elif bytes_columns:
+            alphas = map(int.from_bytes, zip(*bytes_columns), repeat("little"))
+        else:
+            alphas = repeat(0, size)
+        bad = 0
+        for column in sums[len(family) :]:
+            bad |= nonzero_bits(column, 0)
+        verdicts = map(not_, bad.to_bytes(size, "little"))
+        yield from zip(column_rows(size, columns), alphas, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -613,21 +661,32 @@ def is_A_connected(
 ) -> tuple[bool, BFunction | None]:
     """Whether every locally zero-sum b admits a nowhere-zero flow.
 
-    Counts via the subset-expansion polynomial evaluated at |A| and
-    cross-checks each count against the brute-force oracle; on failure the
-    witness b with count zero is returned.  The budget caps the |A|^(n-c)
-    boundary functions tried and, for each of them, the brute-force
-    enumeration and the plan states of the subset expansion.
+    The b come from ``zero_sum_assignings``.  The count of b depends only
+    on its assigning α, so the subset expansion is shared per α: it runs
+    once for each distinct α, from the first b that has it, and its value
+    at |A| is the count of every b with that α.  Each b's brute-force count,
+    read from the nowhere-zero boundary histogram, is still checked against
+    that value, and on failure the first b in enumeration order with count
+    zero is returned as the witness.  The budget caps the |A|^(n-c)
+    boundary functions tried, the brute-force enumeration and the plan
+    states of each subset expansion.
     """
     if spec.order < 2:
         raise InputError("connectivity needs a group of order >= 2")
-    for b in enumerate_zero_sum(g, spec, budget=budget):
-        via_poly = poly_subset_expansion(g, b, budget=budget).eval(spec.order)
-        via_brute = count_nz_flows_bruteforce(g, b, budget=budget)
+    values: dict[int, int] = {}
+    counts = None
+    for indices, alpha, _ in zero_sum_assignings(g, spec, budget=budget):
+        via_poly = values.get(alpha)
+        if via_poly is None:
+            b = BFunction.from_indices(spec, indices)
+            via_poly = values[alpha] = poly_subset_expansion(g, b, budget=budget).eval(spec.order)
+        if counts is None:  # after the first expansion, whose guards come first
+            counts = nz_flow_index_counts(g, spec, budget=budget)
+        via_brute = counts.get(indices, 0)
         if via_poly != via_brute:
             raise ConsistencyError(
                 f"polynomial count {via_poly} disagrees with brute force {via_brute}"
             )
         if via_poly == 0:
-            return False, b
+            return False, BFunction.from_indices(spec, indices)
     return True, None

@@ -33,7 +33,6 @@ from .flows import (
     count_flows_bruteforce,
     count_nz_flows_bruteforce,
     decomposition_check,
-    enumerate_zero_sum,
     require_compatible,
 )
 from .graphs import MultiGraph, bonds, cycle_rank, lambda_family
@@ -275,7 +274,7 @@ def cmd_connectivity(args) -> tuple[dict, int]:
             raise ParseError(
                 f"comparison group {other} must share the order of {spec}"
             )
-        _vertex_subset_budget(args, g)  # induced_assigning walks the lambda family
+        _vertex_subset_budget(args, g)  # zero_sum_assignings walks the lambda family
     connected, witness = asg.is_A_connected(g, spec, budget=args.budget)
     report = {
         "command": "connectivity",
@@ -286,14 +285,10 @@ def cmd_connectivity(args) -> tuple[dict, int]:
     code = EXIT_OK
     if other is not None:
         other_connected, _ = asg.is_A_connected(g, other, budget=args.budget)
-        alphas = {
-            asg.induced_assigning(g, b)
-            for b in enumerate_zero_sum(g, spec, budget=args.budget)
-        }
-        alphas_other = {
-            asg.induced_assigning(g, b)
-            for b in enumerate_zero_sum(g, other, budget=args.budget)
-        }
+        alphas, alphas_other = (
+            {alpha for _, alpha, _ in asg.zero_sum_assignings(g, group, budget=args.budget)}
+            for group in (spec, other)
+        )
         hypothesis = alphas <= alphas_other
         consistent = not (other_connected and hypothesis) or connected
         report["compare"] = {

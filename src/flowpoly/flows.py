@@ -20,7 +20,13 @@ by ``nz_flow_boundary_counts``.
 
 Both central notions ask whether b sums to zero on a vertex set: on every
 component for compatibility, on each member of Λ(G) for the assigning.
-``block_sums`` is the one routine that takes those sums.
+``block_sums`` takes those sums for one b.  Its column form,
+``block_sum_columns``, takes them for many b at once: ``zero_sum_columns``
+lays the zero-sum b of one (graph, group) out in enumeration order as one
+column per vertex, a byte string whose t-th byte is the element index of
+the t-th b at that vertex, and a block's sums are then added column by
+column with C-level bytes and int operations instead of b by b.
+``enumerate_zero_sum`` reads its b from those columns too.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .abelian import GroupElement, GroupSpec, index_tables
 from .errors import BudgetError, IncompatibleError, InputError
@@ -67,6 +74,16 @@ class BFunction:
         object.__setattr__(b, "values", values)
         object.__setattr__(b, "indices", indices)
         return b
+
+    @classmethod
+    def from_indices(cls, spec: GroupSpec, indices: Iterable[int]) -> "BFunction":
+        """The BFunction whose value at v is ``spec.element_at(indices[v])``,
+        such as one row of ``zero_sum_columns``."""
+        indices = tuple(indices)
+        if indices and not 0 <= min(indices) <= max(indices) < spec.order:
+            raise InputError(f"element indices {indices} out of range for {spec}")
+        elems = _elements(spec)
+        return cls._trusted(spec, tuple([elems[i] for i in indices]), indices)
 
     @classmethod
     def zero(cls, spec: GroupSpec, vertex_count: int) -> "BFunction":
@@ -151,6 +168,145 @@ def require_compatible(g: MultiGraph, b: BFunction) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _elements(spec: GroupSpec) -> tuple[GroupElement, ...]:
+    """``spec.elements()`` as a tuple, position i holding element_at(i)."""
+    return tuple(spec.elements())
+
+
+# The b of one column chunk differ only in their last free vertices, and
+# each column of a chunk stays within this many bytes.
+_COLUMN_BYTES = 1 << 16
+
+
+@lru_cache(maxsize=64)
+def _column_tables(spec: GroupSpec) -> tuple[bytes, bytes] | None:
+    """Translate tables for byte columns over spec, or None when q * q > 256.
+
+    pair[u * q + v] is the index of u + v and neg[u] that of -u.  Where
+    q * q <= 256, the columns of u and v read as little-endian ints pack
+    u * q + v into each byte with no carry, so one translate adds them.
+    """
+    q = spec.order
+    if q * q > 256:
+        return None
+    add, neg = index_tables(spec)
+    pair = bytes(itertools.chain.from_iterable(add))
+    return pair.ljust(256, b"\0"), bytes(neg).ljust(256, b"\0")
+
+
+def _column_type(spec: GroupSpec) -> type:
+    """The column type: bytes, or tuples of ints above 256 elements."""
+    return bytes if spec.order <= 256 else tuple
+
+
+def block_sum_columns(
+    spec: GroupSpec, size: int, columns: Sequence, blocks: Iterable[Collection[int]]
+) -> list:
+    """The column form of ``block_sums``: for each vertex set, the column of
+    its sums, entry t the element index of row t's sum over it.
+
+    Column v holds vertex v and row t of the columns is one b, so each of
+    the size entries of a column belongs to one b.  Where q * q <= 256 two
+    columns are added by packing u * q + v into one int and translating its
+    bytes through the pair table of ``_column_tables``; above that, by an
+    elementwise map over the addition table of ``index_tables``.
+    """
+    make = _column_type(spec)
+    tables = _column_tables(spec)
+    add, _ = index_tables(spec)
+    q = spec.order
+    ints: dict[int, int] = {}
+    sums = []
+    for block in blocks:
+        members = iter(block)
+        first = next(members, None)
+        if first is None:
+            sums.append(make([0]) * size)
+            continue
+        total = columns[first]
+        if tables is None:
+            for v in members:
+                total = make(map(getitem, map(add.__getitem__, total), columns[v]))
+        else:
+            pair = tables[0]
+            for v in members:
+                x = ints.get(v)
+                if x is None:
+                    x = ints[v] = int.from_bytes(columns[v], "little")
+                total = (int.from_bytes(total, "little") * q + x).to_bytes(size, "little")
+                total = total.translate(pair)
+        sums.append(total)
+    return sums
+
+
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def nonzero_bits(column, bit: int) -> int:
+    """The int whose byte t, little-endian, is 1 << bit where entry t of the
+    column is nonzero and 0 where it is zero (bit at most 7)."""
+    if isinstance(column, bytes):
+        flags = column.translate(_NONZERO)
+    else:
+        flags = bytes(map(bool, column))
+    return int.from_bytes(flags, "little") << bit
+
+
+def column_rows(size: int, columns: Sequence) -> Iterator[tuple[int, ...]]:
+    """The rows of a chunk of size entries per column, as index tuples."""
+    return zip(*columns) if columns else itertools.repeat((), size)
+
+
+def zero_sum_columns(
+    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[int, list]]:
+    """The locally zero-sum vertex functions as chunks of columns, in the
+    order of ``enumerate_zero_sum``.
+
+    Each chunk is (size, columns): column v is a byte string of size entries
+    (a tuple of ints over groups of more than 256 elements), entry t
+    the element index of the chunk's t-th b at vertex v.  The largest id of
+    each component is its pin and every other vertex is free.  The last free
+    vertices vary inside a chunk, each column a repeated digit pattern, and
+    as many of them as keep a column within ``_COLUMN_BYTES``; the others
+    are constant there and step from chunk to chunk.  Each pin's column is
+    the negated column sum of its component's other vertices.  BudgetError
+    is raised before any column is built when |A|^(|V| - c(G)) exceeds the
+    budget.  The columns list is fresh per chunk.
+    """
+    comps = components(g)
+    n = g.vertex_count
+    q = spec.order
+    _guard(q ** (n - len(comps)), budget, "zero-sum boundary functions")
+    make = _column_type(spec)
+    tables = _column_tables(spec)
+    _, neg = index_tables(spec)
+    pins = [(max(comp), comp - {max(comp)}) for comp in comps]
+    forced = {pin for pin, _ in pins}
+    free = [v for v in range(n) if v not in forced]
+    rows = _COLUMN_BYTES // (1 if make is bytes else 8)  # a tuple holds 8-byte pointers
+    inner = 0
+    while inner < len(free) and q ** (inner + 1) <= rows:
+        inner += 1
+    size = q**inner
+    split = len(free) - inner
+    columns: list = [None] * n
+    for p, v in enumerate(reversed(free[split:])):
+        stride = q**p
+        columns[v] = make([d for d in range(q) for _ in range(stride)]) * (size // (stride * q))
+    for prefix in itertools.product(range(q), repeat=split):
+        for v, d in zip(free, prefix):
+            columns[v] = make([d]) * size
+        totals = block_sum_columns(spec, size, columns, [others for _, others in pins])
+        for (pin, _), total in zip(pins, totals):
+            if tables is None:
+                columns[pin] = make(map(neg.__getitem__, total))
+            else:
+                columns[pin] = total.translate(tables[1])
+        yield size, list(columns)
+
+
 def enumerate_zero_sum(
     g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[BFunction]:
@@ -158,34 +314,16 @@ def enumerate_zero_sum(
 
     Values on all vertices except the largest id of each component range
     freely in lexicographic order; the remaining value per component is
-    forced to the negated sum of the others.  The walk runs on element
-    indices and takes every value from spec.elements(), so the BFunctions
-    it yields are not validated again.  BudgetError is raised before the
-    first yield when |A|^(|V| - c(G)) exceeds the budget.
+    forced to the negated sum of the others.  The b are the rows of
+    ``zero_sum_columns``, so memory stays within one chunk; every value is
+    taken from spec.elements(), and the BFunctions are not validated again.
+    BudgetError is raised before the first yield when |A|^(|V| - c(G))
+    exceeds the budget.
     """
-    comps = components(g)
-    n = g.vertex_count
-    _guard(spec.order ** (n - len(comps)), budget, "zero-sum boundary functions")
-    add, neg = index_tables(spec)
-    elems = list(spec.elements())
-    pins = []
-    for comp in comps:
-        pin = max(comp)
-        pins.append((pin, [v for v in comp if v != pin]))
-    forced = {pin for pin, _ in pins}
-    free = [v for v in range(n) if v not in forced]
-    idx = [0] * n
-    for combo in itertools.product(range(len(elems)), repeat=len(free)):
-        for v, i in zip(free, combo):
-            idx[v] = i
-        for pin, others in pins:
-            # Summed by hand, not by block_sums: idx is still partial and
-            # no BFunction exists yet.
-            total = 0
-            for v in others:
-                total = add[total][idx[v]]
-            idx[pin] = neg[total]
-        yield BFunction._trusted(spec, tuple(map(elems.__getitem__, idx)), tuple(idx))
+    elems = _elements(spec)
+    for size, columns in zero_sum_columns(g, spec, budget=budget):
+        for idx in column_rows(size, columns):
+            yield BFunction._trusted(spec, tuple([elems[i] for i in idx]), idx)
 
 
 def count_flows(g: MultiGraph, b: BFunction) -> int:

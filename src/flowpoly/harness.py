@@ -7,15 +7,20 @@ monotonicity and positivity, the decomposition identities, and the two
 structural lemmas the broken-bond argument rests on.
 
 The polynomial depends on b only through its assigning α, so the boundary
-functions of each group fall into assigning classes keyed by α.  Each
-class's polynomial and its value at |A| are computed once, from its first
-b, and every b's brute-force count is checked against that value.  A class
+functions of each group fall into assigning classes keyed by α.  The b of
+each group come from ``assigning.zero_sum_assignings`` as index tuples,
+each with its α and its compatibility verdict, all read from column sums
+over Λ(G) and the components; the index tuple is the oracle's key, and a
+BFunction is built only for each class's first b.  Each class's
+polynomial and its value at |A| are computed once, from that b, and every
+b's brute-force count is checked against that value.  The decomposition
+suite adds |A|^m(G) for each b whose verdict is compatible; a b that is
+not fails the oracle suite, since no polynomial exists for it.  A class
 also keeps its signless coefficients and its first b's brute-force count,
 which the monotonicity, coefficient-structure and group-invariance suites
-read.  The first class
-seen for an α stands for it in the order-dependent and lemma checks; a
-class of another group with the same α but a different polynomial raises
-ConsistencyError.
+read.  The first class seen for an α stands for it in the order-dependent
+and lemma checks; a class of another group with the same α but a
+different polynomial raises ConsistencyError.
 
 The effort per graph is fixed.  Each class's broken-bond polynomial is
 computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
@@ -47,9 +52,7 @@ from .errors import BudgetError, ConsistencyError, InputError
 from .flows import (
     BFunction,
     DEFAULT_BUDGET,
-    count_flows,
     count_nz_flows_bruteforce,
-    enumerate_zero_sum,
     nz_orientation_walk,
 )
 from .graphs import MultiGraph, bonds, component_count, cycle_rank
@@ -180,16 +183,26 @@ def _check_graph(
         hist, changed = nz_orientation_walk(g, spec, budget=budget)
         classes: dict[int, _AssigningClass] = {}
         order = spec.order
+        flows_if_compatible = order**top  # the zeros-allowed count of a compatible b
         # The decomposition sums run over the same b as the oracle.
         total_nz = 0
         total_all = 0
         instances = 0
-        for b in enumerate_zero_sum(g, spec, budget=budget):
+        for indices, alpha, compatible in asg.zero_sum_assignings(g, spec, budget=budget):
             instances += 1
-            alpha = asg.induced_assigning(g, b)
-            brute = hist.get(b.indices, 0)
+            brute = hist.get(indices, 0)
+            total_nz += brute
+            if not compatible:
+                # An incompatible b has no polynomial and no flow.
+                suite1.fail(
+                    f"{label} over {spec}: b={BFunction.from_indices(spec, indices).values} "
+                    "from the zero-sum enumeration is not compatible"
+                )
+                continue
+            total_all += flows_if_compatible
             cls = classes.get(alpha)
             if cls is None:
+                b = BFunction.from_indices(spec, indices)
                 poly = asg.poly_subset_expansion(g, b, budget=budget)
                 cls = classes[alpha] = _AssigningClass(
                     b, poly, poly.eval(order), poly.signless_coefficients(top), brute
@@ -203,13 +216,10 @@ def _check_graph(
                         f"b={b.values} over {spec}"
                     )
             cls.members += 1
-
-            total_nz += brute
-            total_all += count_flows(g, b)
             if cls.value != brute:
                 suite1.fail(
-                    f"{label} over {spec}: b={b.values} has polynomial value "
-                    f"{cls.value} but brute-force count {brute}"
+                    f"{label} over {spec}: b={BFunction.from_indices(spec, indices).values} "
+                    f"has polynomial value {cls.value} but brute-force count {brute}"
                 )
         report.instance_count += instances
         suite1.checked += instances

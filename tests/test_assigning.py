@@ -925,6 +925,83 @@ def test_block_sum_readers_match_residue_arithmetic():
                     assert compat >> mask & 1 == compatible, (g, b, mask)
 
 
+# The wide groups, whose columns add by a byte translate, plus groups with
+# q * q > 256, whose columns add by a map: bytes for Z17 and Z4xZ5, tuples
+# for Z257.
+COLUMN_GROUPS = WIDE_GROUPS + tuple(parse_group(name) for name in ("Z17", "Z4xZ5", "Z257"))
+
+# DIFFERENTIAL plus n = 0, isolated vertices only (no free vertex), loops
+# alone, and two components, one of them with a loop.
+COLUMN_GRAPHS = DIFFERENTIAL + [
+    MultiGraph.from_pairs(0, []),
+    MultiGraph.from_pairs(3, []),
+    MultiGraph.from_pairs(2, [(0, 0), (1, 1), (1, 1)]),
+    MultiGraph.from_pairs(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 4)]),
+]
+
+COLUMN_ROWS_CHECKED = 200
+
+
+def _zero_sum_by_definition(g: MultiGraph, spec):
+    """The zero-sum b as index tuples, by residue arithmetic: the vertices
+    other than each component's largest range over the elements in
+    lexicographic order, and each largest vertex takes the negated sum of
+    its component's others."""
+    pins = {max(comp): comp - {max(comp)} for comp in components(g)}
+    free = [v for v in range(g.vertex_count) if v not in pins]
+    for combo in itertools.product(list(spec.elements()), repeat=len(free)):
+        values = dict(zip(free, combo))
+        for pin, others in pins.items():
+            total = spec.zero
+            for v in others:
+                total = spec.add(total, values[v])
+            values[pin] = spec.negate(total)
+        yield tuple(spec.index_of(values[v]) for v in range(g.vertex_count))
+
+
+def test_zero_sum_assignings_written_out():
+    # The path 0-1-2 and an isolated vertex 3 over Z3: 0 and 1 are free, 2
+    # and 3 are pins, and bit i of the assigning is member i of Λ(G).
+    g = MultiGraph.from_pairs(4, [(0, 1), (1, 2)])
+    assert lambda_family(g) == [{0}, {0, 1}, {1, 2}, {2}]
+    expected = [
+        ((0, 0, 0, 0), 0b0000, True),
+        ((0, 1, 2, 0), 0b1010, True),
+        ((0, 2, 1, 0), 0b1010, True),
+        ((1, 0, 2, 0), 0b1111, True),
+        ((1, 1, 1, 0), 0b1111, True),
+        ((1, 2, 0, 0), 0b0101, True),
+        ((2, 0, 1, 0), 0b1111, True),
+        ((2, 1, 0, 0), 0b0101, True),
+        ((2, 2, 2, 0), 0b1111, True),
+    ]
+    assert list(assigning.zero_sum_assignings(g, Z3)) == expected
+    assert [b.indices for b in enumerate_zero_sum(g, Z3)] == [row[0] for row in expected]
+
+
+@pytest.mark.parametrize("column_bytes", [None, 8])
+def test_zero_sum_assignings_match_the_per_b_readers(monkeypatch, column_bytes):
+    # At 8 bytes a column chunk holds 8 b over Z2, 3 over Z3, 4 over order 4
+    # and one b over larger groups, so the rows checked span many chunks.
+    if column_bytes is not None:
+        monkeypatch.setattr(flows, "_COLUMN_BYTES", column_bytes)
+    for g in COLUMN_GRAPHS:
+        for spec in COLUMN_GROUPS:
+            # Only the first rows are read, so the budget need not cover all.
+            total = spec.order ** (g.vertex_count - component_count(g))
+            count = min(total, COLUMN_ROWS_CHECKED)
+            reader = assigning.zero_sum_assignings(g, spec, budget=total)
+            rows = list(itertools.islice(reader, count + 1))
+            assert len(rows) == min(total, count + 1), (g, spec)
+            rows = rows[:count]
+            bs = list(itertools.islice(enumerate_zero_sum(g, spec, budget=total), count))
+            expected = list(itertools.islice(_zero_sum_by_definition(g, spec), count))
+            assert [row[0] for row in rows] == [b.indices for b in bs] == expected
+            for (indices, alpha, compatible), b in zip(rows, bs):
+                assert alpha == induced_assigning(g, b), (g, spec, indices)
+                assert compatible is is_b_compatible(g, b) is True, (g, spec, indices)
+
+
 def test_edge_plan_decides_each_edge_once_and_closes_each_vertex_once():
     for g in DIFFERENTIAL + [petersen()]:
         edge_bit, loops, order, steps = graphs._edge_plan(g)

@@ -158,6 +158,51 @@ def test_decomposition_suite_sees_wrong_counts(monkeypatch):
     assert report["oracle_equivalence"].failures > 0
 
 
+def test_a_corrupted_pin_byte_fails_oracle_and_decomposition(monkeypatch):
+    # The first b over Z3 of the triangle is zero; adding 1 at its pin,
+    # vertex 2, leaves a b that sums to 1, so its component-sum verdict is
+    # false and no q^m(G) is added for it.
+    real = asg.zero_sum_columns
+
+    def corrupted(g, spec, **kwargs):
+        for size, columns in real(g, spec, **kwargs):
+            pin = columns[-1]
+            columns[-1] = bytes([(pin[0] + 1) % spec.order]) + pin[1:]
+            yield size, columns
+
+    monkeypatch.setattr(asg, "zero_sum_columns", corrupted)
+    report = run_verification([triangle()], (parse_group("Z3"),), seed=0)
+    assert report["decomposition"].failures == 1
+    assert "miss targets" in report["decomposition"].first_failure
+    assert report["oracle_equivalence"].failures == 1
+    assert "(0,), (0,), (1,)" in report["oracle_equivalence"].first_failure
+    assert "is not compatible" in report["oracle_equivalence"].first_failure
+
+
+def test_no_per_b_assigning_or_flow_count(monkeypatch):
+    import flowpoly.flows as flows
+
+    calls = {"induced_assigning": 0, "count_flows": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(asg, "induced_assigning", counting(asg, "induced_assigning"))
+    monkeypatch.setattr(flows, "count_flows", counting(flows, "count_flows"))
+    # Also counted should the harness import count_flows by name.
+    monkeypatch.setattr(harness, "count_flows", flows.count_flows, raising=False)
+    report = run_verification([triangle(), single_edge(), k4()], default_groups(), seed=0)
+    assert report.passed
+    assert report.instance_count > 0
+    assert calls == {"induced_assigning": 0, "count_flows": 0}
+
+
 def test_report_serialization():
     report = run_verification([triangle()], (parse_group("Z2"),))
     payload = report["oracle_equivalence"].as_dict()
