@@ -22,6 +22,7 @@ from .assigning import (
     poly_nbb,
     poly_nbb_orders,
     poly_subset_expansion,
+    poly_subset_expansions,
 )
 from .errors import (
     BudgetError,
@@ -126,5 +127,6 @@ __all__ = [
     "poly_nbb",
     "poly_nbb_orders",
     "poly_subset_expansion",
+    "poly_subset_expansions",
     "reverse_edge",
 ]

@@ -11,16 +11,18 @@ functions of each group fall into assigning classes keyed by α.  The b of
 each group come from ``assigning.zero_sum_assignings`` as index tuples,
 each with its α and its compatibility verdict, all read from column sums
 over Λ(G) and the components; the index tuple is the oracle's key, and a
-BFunction is built only for each class's first b.  Each class's
-polynomial and its value at |A| are computed once, from that b, and every
-b's brute-force count is checked against that value.  The decomposition
-suite adds |A|^m(G) for each b whose verdict is compatible; a b that is
-not fails the oracle suite, since no polynomial exists for it.  A class
-also keeps its signless coefficients and its first b's brute-force count,
-which the monotonicity, coefficient-structure and group-invariance suites
-read.  The first class seen for an α stands for it in the order-dependent
-and lemma checks; a class of another group with the same α but a
-different polynomial raises ConsistencyError.
+BFunction is built only for each class's first compatible b.  After that
+one pass, one ``assigning.poly_subset_expansions`` call per group computes
+every class's polynomial, each from its own first b, and b that reach the
+same blocks and sums share the states of one loop.  Every b's brute-force
+count is then checked against its class's value at |A|, in enumeration
+order.  The decomposition suite adds |A|^m(G) for each b whose verdict is
+compatible; a b that is not fails the oracle suite, since no polynomial
+exists for it.  A class also keeps its signless coefficients and its
+first b's brute-force count, which the monotonicity, coefficient-structure
+and group-invariance suites read.  The first class seen for an α stands
+for it in the order-dependent and lemma checks; a class of another group
+with the same α but a different polynomial raises ConsistencyError.
 
 The effort per graph is fixed.  Each class's broken-bond polynomial is
 computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
@@ -184,12 +186,31 @@ def _check_graph(
         classes: dict[int, _AssigningClass] = {}
         order = spec.order
         flows_if_compatible = order**top  # the zeros-allowed count of a compatible b
+        # One pass reads every b; the first compatible b of each alpha, in
+        # first-seen order, stands for its class in one batched expansion.
+        seen = list(asg.zero_sum_assignings(g, spec, budget=budget))
+        firsts: dict[int, tuple[int, ...]] = {}
+        for indices, alpha, compatible in seen:
+            if compatible and alpha not in firsts:
+                firsts[alpha] = indices
+        reps = [BFunction.from_indices(spec, indices) for indices in firsts.values()]
+        polys = asg.poly_subset_expansions(g, reps, budget=budget)
+        for (alpha, indices), b, poly in zip(firsts.items(), reps, polys):
+            cls = classes[alpha] = _AssigningClass(
+                b, poly, poly.eval(order), poly.signless_coefficients(top), hist.get(indices, 0)
+            )
+            first = merged.setdefault(alpha, cls)
+            if cls.poly != first.poly:
+                raise ConsistencyError(
+                    f"{label}: one assigning produced two polynomials, "
+                    f"{first.poly} for b={first.representative.values} over "
+                    f"{first.representative.spec} and {cls.poly} for "
+                    f"b={b.values} over {spec}"
+                )
         # The decomposition sums run over the same b as the oracle.
         total_nz = 0
         total_all = 0
-        instances = 0
-        for indices, alpha, compatible in asg.zero_sum_assignings(g, spec, budget=budget):
-            instances += 1
+        for indices, alpha, compatible in seen:
             brute = hist.get(indices, 0)
             total_nz += brute
             if not compatible:
@@ -200,29 +221,15 @@ def _check_graph(
                 )
                 continue
             total_all += flows_if_compatible
-            cls = classes.get(alpha)
-            if cls is None:
-                b = BFunction.from_indices(spec, indices)
-                poly = asg.poly_subset_expansion(g, b, budget=budget)
-                cls = classes[alpha] = _AssigningClass(
-                    b, poly, poly.eval(order), poly.signless_coefficients(top), brute
-                )
-                first = merged.setdefault(alpha, cls)
-                if cls.poly != first.poly:
-                    raise ConsistencyError(
-                        f"{label}: one assigning produced two polynomials, "
-                        f"{first.poly} for b={first.representative.values} over "
-                        f"{first.representative.spec} and {cls.poly} for "
-                        f"b={b.values} over {spec}"
-                    )
+            cls = classes[alpha]
             cls.members += 1
             if cls.value != brute:
                 suite1.fail(
                     f"{label} over {spec}: b={BFunction.from_indices(spec, indices).values} "
                     f"has polynomial value {cls.value} but brute-force count {brute}"
                 )
-        report.instance_count += instances
-        suite1.checked += instances
+        report.instance_count += len(seen)
+        suite1.checked += len(seen)
         per_spec_classes.append(classes)
 
         suites["decomposition"].checked += 1

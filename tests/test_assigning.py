@@ -24,6 +24,7 @@ from flowpoly.assigning import (
     poly_nbb,
     poly_nbb_orders,
     poly_subset_expansion,
+    poly_subset_expansions,
 )
 from flowpoly.catalog import all_multigraphs, complete, cycle, path
 from flowpoly.errors import BudgetError, IncompatibleError, InputError
@@ -462,6 +463,121 @@ def test_wheels_at_zero_boundary_match_their_closed_form(spec):
         b = BFunction.zero(spec, n + 1)
         assert poly_subset_expansion(wheel, b) == expected
         assert poly_nbb(wheel, b) == expected
+
+
+# ---------------------------------------------------------------------------
+# Several b of one group in one subset-expansion loop.
+
+
+def test_batch_matches_per_b_calls_on_the_differential_graphs():
+    rng = random.Random(31)
+    for g in DIFFERENTIAL:
+        for spec in WIDE_GROUPS:
+            batch = [BFunction.zero(spec, g.vertex_count)]
+            batch += [_random_compatible_b(g, spec, rng) for _ in range(3)]
+            expected = [poly_subset_expansion(g, b) for b in batch]
+            assert poly_subset_expansions(g, batch) == expected, (g, spec)
+
+
+@pytest.mark.parametrize("loop_bits", [None, 1, 1 << 30], ids=["default", "per-b", "unsplit"])
+def test_every_class_of_k5_over_z5_in_one_batch(monkeypatch, loop_bits):
+    # 107 classes of 204-bit slots: by default three loops of at most 40,
+    # else one loop per b or one loop for all.
+    if loop_bits is not None:
+        monkeypatch.setattr(assigning, "_LOOP_BITS", loop_bits)
+    g = complete(5)
+    spec = parse_group("Z5")
+    firsts = {}
+    for indices, alpha, compatible in assigning.zero_sum_assignings(g, spec):
+        assert compatible
+        firsts.setdefault(alpha, BFunction.from_indices(spec, indices))
+    batch = list(firsts.values())
+    assert len(batch) == 107
+    polys = poly_subset_expansions(g, batch)
+    assert polys == [poly_subset_expansion(g, b) for b in batch]
+    assert batch[0] == BFunction.zero(spec, 5)
+    assert polys[0] == IntPolynomial((51, -147, 175, -115, 45, -10, 1))  # K5's flow polynomial
+    assert len(set(polys)) > 1
+
+
+def test_batch_holds_a_zero_polynomial_next_to_nonzero_ones():
+    # BRIDGED's bridge is compatible exactly when b sums to zero on either
+    # triangle, which zeroes the polynomial; the zero one also sits on top.
+    spec = parse_group("Z5")
+    one, four = spec.element_at(1), spec.element_at(4)
+    zero_b = BFunction.zero(spec, 6)
+    across = BFunction(spec, (one,) + (spec.zero,) * 2 + (four,) + (spec.zero,) * 2)
+    batch = [across, zero_b, across, zero_b]
+    polys = poly_subset_expansions(BRIDGED, batch)
+    assert [poly.is_zero for poly in polys] == [False, True, False, True]
+    assert polys[0] == poly_subset_expansion(BRIDGED, across)
+    assert polys[0] == polys[2]
+
+
+def test_batch_repeats_a_repeated_b():
+    g = k4()
+    spec = parse_group("Z3")
+    b = BFunction(spec, ((1,), (2,), (1,), (2,)))
+    zero = BFunction.zero(spec, 4)
+    polys = poly_subset_expansions(g, [b, b, zero, b])
+    assert polys == [poly_subset_expansion(g, x) for x in (b, b, zero, b)]
+    assert polys[0] != polys[2]
+
+
+def test_empty_batch_returns_no_polynomials():
+    assert poly_subset_expansions(k4(), []) == []
+
+
+def test_batch_rejects_mixed_groups():
+    with pytest.raises(InputError, match="mixes"):
+        poly_subset_expansions(triangle(), [BFunction.zero(Z3, 3), BFunction.zero(Z2XZ2, 3)])
+
+
+def test_batch_names_its_first_incompatible_b():
+    g = single_edge()
+    bad = BFunction(Z3, ((1,), (0,)))
+    with pytest.raises(IncompatibleError) as single:
+        poly_subset_expansion(g, bad)
+    fine = BFunction(Z3, ((1,), (2,)))
+    worse = BFunction(Z3, ((2,), (0,)))
+    with pytest.raises(IncompatibleError) as batched:
+        poly_subset_expansions(g, [fine, BFunction.zero(Z3, 2), bad, worse])
+    assert str(batched.value) == str(single.value)
+
+
+def test_batch_slots_keep_large_coefficients_of_either_sign_apart():
+    # Written out for m = 6 edges on n = 4 vertices: digits of w = 8 bits,
+    # slots of W = 8 * (6 + 4 + 2) = 96 bits.  Before the final shift a
+    # value has degree at most m + n = 10, and every coefficient is at most
+    # 2^6 = 64 < 2^7 in size, so the extreme values are every coefficient
+    # -64 or every coefficient +64.  Side by side, a negative slot borrows
+    # from the one above it, and the balanced digits give that back.
+    m, n = 6, 4
+    w = m + 2
+    slot = w * (m + n + 2)
+    assert slot == 96
+    low = sum(-(1 << m) << w * i for i in range(m + n + 1))
+    assert abs(low) < 1 << slot - 1
+    values = [low, -low, low, low, -low, 0, low]
+    packed = sum(value << i * slot for i, value in enumerate(values))
+    assert list(assigning._unpack(packed, slot)) == values
+    assert assigning._unpack(low, w) == (-(1 << m),) * (m + n + 1)
+    # The same on real values: dipoles of 40 edges have coefficients up to
+    # C(40, 20) > 2^37 in size, of alternating sign, next to each other.
+    spec = parse_group("Z5")
+    g = MultiGraph.from_pairs(2, [(0, 1)] * 40)
+    beta = spec.element_at(2)
+    zero_b, moved = BFunction.zero(spec, 2), BFunction(spec, (beta, spec.negate(beta)))
+    signed = [math.comb(40, i) * (-1) ** (40 - i) for i in range(41)]
+    at_zero, off_zero = list(signed), list(signed)
+    at_zero[0] -= 1  # ((k - 1)^40 + (k - 1)) / k
+    at_zero[1] += 1
+    off_zero[0] -= 1  # ((k - 1)^40 - 1) / k
+    assert at_zero[0] == off_zero[0] == 0
+    fixed, shifted = IntPolynomial(tuple(at_zero[1:])), IntPolynomial(tuple(off_zero[1:]))
+    batch = [zero_b, moved, moved, zero_b, moved]
+    expected = [fixed, shifted, shifted, fixed, shifted]
+    assert poly_subset_expansions(g, batch) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1201,6 +1317,31 @@ def test_compare_across_groups():
         g, BFunction.zero(parse_group("Z2xZ2"), 3), BFunction(Z3, ((1,), (2,), (0,)))
     )
     assert report.consistent
+
+
+@pytest.mark.parametrize(
+    "second, batches",
+    [(BFunction(Z3, ((1,), (1,), (1,))), [2]), (BFunction.zero(Z2XZ2, 3), [1, 1])],
+    ids=["one-group", "two-groups"],
+)
+def test_compare_batches_one_group_and_splits_two(monkeypatch, second, batches):
+    # poly_subset_expansion runs a batch of one, so the wrapper sees both.
+    real = assigning.poly_subset_expansions
+    seen = []
+
+    def recording(g, bs, **kwargs):
+        seen.append(len(bs))
+        return real(g, bs, **kwargs)
+
+    monkeypatch.setattr(assigning, "poly_subset_expansions", recording)
+    g = triangle()
+    first = BFunction.zero(Z3, 3)
+    top = cycle_rank(g)
+    report = compare_coefficients(g, first, second)
+    assert seen == batches
+    monkeypatch.undo()
+    assert report.signless_first == poly_subset_expansion(g, first).signless_coefficients(top)
+    assert report.signless_second == poly_subset_expansion(g, second).signless_coefficients(top)
 
 
 def test_compare_honours_the_budget():

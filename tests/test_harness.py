@@ -216,19 +216,20 @@ def test_one_assigning_two_polynomials_raises(monkeypatch):
     # cross-group comparison of one assigning's polynomials can see it.
     import flowpoly.harness as harness
 
-    real = harness.asg.poly_subset_expansion
+    real = harness.asg.poly_subset_expansions
     klein = parse_group("Z2xZ2")
 
-    def corrupted(g, b, **kwargs):
-        poly = real(g, b, **kwargs)
-        if b.spec != klein:
-            return poly
+    def corrupt(poly):
         coeffs = list(poly.coefficients) + [0] * (2 - len(poly.coefficients))
         coeffs[0] -= 4
         coeffs[1] += 1
         return IntPolynomial(tuple(coeffs))
 
-    monkeypatch.setattr(harness.asg, "poly_subset_expansion", corrupted)
+    def corrupted(g, bs, **kwargs):
+        polys = real(g, bs, **kwargs)
+        return [corrupt(poly) if b.spec == klein else poly for b, poly in zip(bs, polys)]
+
+    monkeypatch.setattr(harness.asg, "poly_subset_expansions", corrupted)
     specs = (parse_group("Z4"), klein)
     with pytest.raises(ConsistencyError, match="one assigning produced two polynomials"):
         run_verification([triangle()], specs, seed=0)
@@ -261,24 +262,36 @@ def _record_budgets(monkeypatch, names):
 
 
 def test_budget_reaches_every_polynomial_call(monkeypatch):
-    seen = _record_budgets(monkeypatch, ("poly_subset_expansion", "poly_nbb_orders"))
+    seen = _record_budgets(monkeypatch, ("poly_subset_expansions", "poly_nbb_orders"))
     run_verification([single_loop()], (parse_group("Z3"),), budget=12345)
-    assert {name for name, _ in seen} == {"poly_subset_expansion", "poly_nbb_orders"}
+    assert {name for name, _ in seen} == {"poly_subset_expansions", "poly_nbb_orders"}
     assert {budget for _, budget in seen} == {12345}
 
 
 def test_one_subset_expansion_per_assigning_class(monkeypatch):
     # Over Z3 the triangle's b = 0 gives the zero assigning, pointwise below
     # the other classes; the monotonicity suite compares the coefficients
-    # the classes hold instead of recomputing them.
-    z3 = parse_group("Z3")
-    g = triangle()
-    seen = _record_budgets(monkeypatch, ("poly_subset_expansion",))
-    report = run_verification([g], (z3,))
-    classes = {asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, z3)}
-    assert len(classes) > 1
-    assert len(seen) == len(classes)
-    assert report["comparison_monotonicity"].checked > len(classes)
+    # the classes hold instead of recomputing them.  Each (graph, group)
+    # makes one batched call, one b per class.
+    real = harness.asg.poly_subset_expansions
+    batches = []
+
+    def recording(g, bs, **kwargs):
+        batches.append((g, bs[0].spec, len(bs)))
+        return real(g, bs, **kwargs)
+
+    monkeypatch.setattr(harness.asg, "poly_subset_expansions", recording)
+    z3, z4 = parse_group("Z3"), parse_group("Z4")
+    graphs = [triangle(), k4()]
+    report = run_verification(graphs, (z3, z4))
+    expected = [
+        (g, spec, len({asg.induced_assigning(g, b) for b in enumerate_zero_sum(g, spec)}))
+        for g in graphs
+        for spec in (z3, z4)
+    ]
+    assert batches == expected
+    assert all(size > 1 for _, _, size in batches)
+    assert report["comparison_monotonicity"].checked > batches[0][2]
 
 
 def test_one_broken_bond_call_per_assigning_class(monkeypatch):
