@@ -14,9 +14,9 @@ Shows three effects on the complete graph K4 and the triangle:
 from __future__ import annotations
 
 from flowpoly.abelian import parse_group
-from flowpoly.assigning import compare_coefficients, induced_assigning, poly_subset_expansion
+from flowpoly.assigning import class_polynomials, compare_coefficients, zero_sum_assignings
 from flowpoly.catalog import complete, cycle
-from flowpoly.flows import BFunction, count_nz_flows_bruteforce, enumerate_zero_sum
+from flowpoly.flows import BFunction, count_nz_flows_bruteforce
 from flowpoly.graphs import cycle_rank, lambda_family
 
 Z4 = parse_group("Z4")
@@ -25,10 +25,8 @@ Z3 = parse_group("Z3")
 
 
 def assigning_map(g, spec):
-    table = {}
-    for b in enumerate_zero_sum(g, spec):
-        table.setdefault(induced_assigning(g, b), b)
-    return table
+    """Each assigning of g over spec: its first b and that b's polynomial."""
+    return class_polynomials(g, spec, zero_sum_assignings(g, spec))
 
 
 def main() -> None:
@@ -43,8 +41,7 @@ def main() -> None:
         key=lambda a: tuple(a >> i & 1 for i in members),
     )
     for alpha in matched[:4]:
-        b, b2 = by_z4[alpha], by_klein[alpha]
-        p, p2 = poly_subset_expansion(k4, b), poly_subset_expansion(k4, b2)
+        (b, p), (b2, p2) = by_z4[alpha], by_klein[alpha]
         assert p == p2
         print(
             f"  b={b.values} over Z4 and b'={b2.values} over Z2xZ2: "
@@ -57,9 +54,9 @@ def main() -> None:
     orphans = [alpha for alpha in by_z4 if alpha not in by_klein]
     print(f"  {len(orphans)} of {len(by_z4)} Z4 assignings have no Z2xZ2 partner")
     for alpha in orphans:
-        b = by_z4[alpha]
+        b, p = by_z4[alpha]
         print(
-            f"  b={b.values}: polynomial {poly_subset_expansion(k4, b)}, "
+            f"  b={b.values}: polynomial {p}, "
             f"{count_nz_flows_bruteforce(k4, b)} nowhere-zero flows over Z4"
         )
 

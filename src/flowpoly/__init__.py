@@ -16,6 +16,7 @@ from .assigning import (
     EdgeOrder,
     b_compatible_bonds,
     broken_bonds,
+    class_polynomials,
     compare_coefficients,
     induced_assigning,
     is_A_connected,
@@ -105,6 +106,7 @@ __all__ = [
     "boundary",
     "bridges",
     "broken_bonds",
+    "class_polynomials",
     "clear_caches",
     "compare_coefficients",
     "component_count",

@@ -35,9 +35,12 @@ Both polynomials depend on b only through its assigning α, which
 ``lambda_family(g)``, set where ``flows.block_sums`` is nonzero.
 ``zero_sum_assignings`` gives the same bits for every zero-sum b of one
 (graph, group), with each b's index tuple and its compatibility verdict,
-from one pass of ``flows.block_sum_columns`` per chunk of b; the
-verification harness and ``is_A_connected`` key their classes of boundary
-functions by it.
+from one pass of ``flows.block_sum_columns`` per chunk of b.
+``class_polynomials`` reads rows in that form and is the one place that
+picks a class's representative: the first compatible b of each α, with
+its polynomial, all from one ``poly_subset_expansions`` call.  The
+verification harness, ``is_A_connected`` and the group comparison demo
+take their classes of boundary functions from it.
 Whether G - S is compatible with b depends only on the blocks of G - S:
 for graphs of at most 10 edges, ``_structure`` lists each distinct block
 of every G - S with the set of subsets S whose G - S has it, and
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import not_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .abelian import GroupSpec, index_tables
 from .errors import BudgetError, ConsistencyError, InputError
@@ -420,6 +423,27 @@ def _unpack(packed: int, w: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def class_polynomials(
+    g: MultiGraph, spec: GroupSpec, rows: Iterable[tuple], *, budget: int = DEFAULT_BUDGET
+) -> dict[int, tuple[BFunction, IntPolynomial]]:
+    """One representative b and its polynomial per assigning class.
+
+    The rows take the form ``zero_sum_assignings`` yields: a b's element
+    indices over spec, its assigning α and its compatibility verdict.  Each
+    α of a compatible row maps to the b of its first compatible row and that
+    b's polynomial, in the order those rows come; rows that are not
+    compatible stand for no class.  Every polynomial comes from one
+    ``poly_subset_expansions`` call, so the budget caps the plan states
+    summed over its loops.
+    """
+    firsts: dict[int, tuple[int, ...]] = {}
+    for indices, alpha, compatible in rows:
+        if compatible and alpha not in firsts:
+            firsts[alpha] = indices
+    reps = [BFunction.from_indices(spec, indices) for indices in firsts.values()]
+    return dict(zip(firsts, zip(reps, poly_subset_expansions(g, reps, budget=budget))))
+
+
 def b_compatible_bonds(g: MultiGraph, b: BFunction) -> list[EdgeSet]:
     """Bonds whose removal leaves the graph compatible with b, in bonds() order.
 
@@ -724,39 +748,36 @@ def compare_coefficients(
 
 
 def is_A_connected(
-    g: MultiGraph,
-    spec: GroupSpec,
-    *,
-    budget: int = DEFAULT_BUDGET,
+    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, BFunction | None]:
     """Whether every locally zero-sum b admits a nowhere-zero flow.
 
-    The b come from ``zero_sum_assignings``.  The count of b depends only
-    on its assigning α, so the subset expansion is shared per α: it runs
-    once for each distinct α, from the first b that has it, and its value
-    at |A| is the count of every b with that α.  Each b's brute-force count,
-    read from the nowhere-zero boundary histogram, is still checked against
-    that value, and on failure the first b in enumeration order with count
-    zero is returned as the witness.  The budget caps the |A|^(n-c)
-    boundary functions tried, the brute-force enumeration and the plan
-    states of each subset expansion.
+    The nowhere-zero boundary histogram is read first, so a group of order
+    below 2 raises its InputError.  Then the rows of
+    ``zero_sum_assignings`` are read in enumeration order up to the first b
+    whose brute-force count is zero, and ``class_polynomials`` expands one
+    representative of each α met in them.  The count of b depends only on
+    α, so its class polynomial's value at |A| must equal each row's count;
+    a row whose verdict is not compatible, or whose counts disagree, raises
+    ConsistencyError.  On failure the first b with count zero is returned
+    as the witness.  The budget caps the brute-force enumeration, the
+    |A|^(n-c) boundary functions tried and the plan states summed over the
+    loops of the one batched expansion.
     """
-    if spec.order < 2:
-        raise InputError("connectivity needs a group of order >= 2")
-    values: dict[int, int] = {}
-    counts = None
-    for indices, alpha, _ in zero_sum_assignings(g, spec, budget=budget):
-        via_poly = values.get(alpha)
-        if via_poly is None:
-            b = BFunction.from_indices(spec, indices)
-            via_poly = values[alpha] = poly_subset_expansion(g, b, budget=budget).eval(spec.order)
-        if counts is None:  # after the first expansion, whose guards come first
-            counts = nz_flow_index_counts(g, spec, budget=budget)
-        via_brute = counts.get(indices, 0)
+    counts = nz_flow_index_counts(g, spec, budget=budget)
+    rows = []
+    for row in zero_sum_assignings(g, spec, budget=budget):
+        rows.append(row)
+        if row[0] not in counts:  # a zero count: the witness
+            break
+    classes = class_polynomials(g, spec, rows, budget=budget)
+    values = {alpha: poly.eval(spec.order) for alpha, (_, poly) in classes.items()}
+    for indices, alpha, compatible in rows:
+        if not compatible:
+            raise ConsistencyError(f"the zero-sum b of indices {indices} is not compatible")
+        via_poly, via_brute = values[alpha], counts.get(indices, 0)
         if via_poly != via_brute:
-            raise ConsistencyError(
-                f"polynomial count {via_poly} disagrees with brute force {via_brute}"
-            )
-        if via_poly == 0:
+            raise ConsistencyError(f"polynomial count {via_poly} != brute force {via_brute}")
+        if not via_brute:
             return False, BFunction.from_indices(spec, indices)
     return True, None

@@ -10,19 +10,20 @@ The polynomial depends on b only through its assigning α, so the boundary
 functions of each group fall into assigning classes keyed by α.  The b of
 each group come from ``assigning.zero_sum_assignings`` as index tuples,
 each with its α and its compatibility verdict, all read from column sums
-over Λ(G) and the components; the index tuple is the oracle's key, and a
-BFunction is built only for each class's first compatible b.  After that
-one pass, one ``assigning.poly_subset_expansions`` call per group computes
-every class's polynomial, each from its own first b, and b that reach the
-same blocks and sums share the states of one loop.  Every b's brute-force
-count is then checked against its class's value at |A|, in enumeration
-order.  The decomposition suite adds |A|^m(G) for each b whose verdict is
-compatible; a b that is not fails the oracle suite, since no polynomial
-exists for it.  A class also keeps its signless coefficients and its
-first b's brute-force count, which the monotonicity, coefficient-structure
-and group-invariance suites read.  The first class seen for an α stands
-for it in the order-dependent and lemma checks; a class of another group
-with the same α but a different polynomial raises ConsistencyError.
+over Λ(G) and the components; the index tuple is the oracle's key.  After
+that one pass, ``assigning.class_polynomials`` picks each class's first
+compatible b, builds a BFunction for it alone, and computes every class's
+polynomial from one batched ``poly_subset_expansions`` call per group, in
+which b that reach the same blocks and sums share the states of one loop.
+Every b's brute-force count is then checked against its class's value at
+|A|, in enumeration order.  The decomposition suite adds |A|^m(G) for each
+b whose verdict is compatible; a b that is not fails the oracle suite,
+since no polynomial exists for it.  A class also keeps its signless
+coefficients and its first b's brute-force count, which the monotonicity,
+coefficient-structure and group-invariance suites read.  The first class
+seen for an α stands for it in the order-dependent and lemma checks; a
+class of another group with the same α but a different polynomial raises
+ConsistencyError.
 
 The effort per graph is fixed.  Each class's broken-bond polynomial is
 computed under the edge plan's order and ``RANDOM_ORDERS`` shuffled ones,
@@ -186,18 +187,10 @@ def _check_graph(
         classes: dict[int, _AssigningClass] = {}
         order = spec.order
         flows_if_compatible = order**top  # the zeros-allowed count of a compatible b
-        # One pass reads every b; the first compatible b of each alpha, in
-        # first-seen order, stands for its class in one batched expansion.
         seen = list(asg.zero_sum_assignings(g, spec, budget=budget))
-        firsts: dict[int, tuple[int, ...]] = {}
-        for indices, alpha, compatible in seen:
-            if compatible and alpha not in firsts:
-                firsts[alpha] = indices
-        reps = [BFunction.from_indices(spec, indices) for indices in firsts.values()]
-        polys = asg.poly_subset_expansions(g, reps, budget=budget)
-        for (alpha, indices), b, poly in zip(firsts.items(), reps, polys):
+        for alpha, (b, poly) in asg.class_polynomials(g, spec, seen, budget=budget).items():
             cls = classes[alpha] = _AssigningClass(
-                b, poly, poly.eval(order), poly.signless_coefficients(top), hist.get(indices, 0)
+                b, poly, poly.eval(order), poly.signless_coefficients(top), hist.get(b.indices, 0)
             )
             first = merged.setdefault(alpha, cls)
             if cls.poly != first.poly:

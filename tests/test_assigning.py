@@ -17,6 +17,7 @@ from flowpoly.assigning import (
     EdgeOrder,
     b_compatible_bonds,
     broken_bonds,
+    class_polynomials,
     compare_coefficients,
     compat_signature,
     induced_assigning,
@@ -27,7 +28,7 @@ from flowpoly.assigning import (
     poly_subset_expansions,
 )
 from flowpoly.catalog import all_multigraphs, complete, cycle, path
-from flowpoly.errors import BudgetError, IncompatibleError, InputError
+from flowpoly.errors import BudgetError, ConsistencyError, IncompatibleError, InputError
 from flowpoly.flows import (
     BFunction,
     block_sums,
@@ -1388,6 +1389,85 @@ def test_k4_connectivity_over_small_groups():
     assert not ok
     ok, _ = is_A_connected(k4(), parse_group("Z6"))
     assert ok
+
+
+@pytest.mark.parametrize("spec", WIDE_GROUPS, ids=str)
+def test_cycles_are_connected_exactly_over_groups_above_their_length(spec):
+    # C_n is A-connected exactly when |A| >= n + 1.
+    for n in range(2, 6):
+        assert is_A_connected(cycle(n), spec)[0] == (spec.order >= n + 1), n
+
+
+def _first_compatible_of_each_assigning(spec, rows):
+    firsts = {}
+    for indices, alpha, compatible in rows:
+        if compatible:
+            firsts.setdefault(alpha, BFunction.from_indices(spec, indices))
+    return firsts
+
+
+def test_class_polynomials_take_the_first_compatible_b_of_each_assigning():
+    g, spec = k4(), Z3
+    rows = list(assigning.zero_sum_assignings(g, spec))
+    # Only b = 0 has the zero assigning, so that class goes; the class of
+    # row 1 is represented by its next compatible row instead.
+    assert all(compatible for _, _, compatible in rows)
+    assert [alpha for _, alpha, _ in rows].count(rows[0][1]) == 1
+    rows[0] = (rows[0][0], rows[0][1], False)
+    rows[1] = (rows[1][0], rows[1][1], False)
+    firsts = _first_compatible_of_each_assigning(spec, rows)
+    classes = class_polynomials(g, spec, iter(rows))
+    assert list(classes) == list(firsts)
+    assert rows[0][1] not in classes
+    assert classes[rows[1][1]][0] != BFunction.from_indices(spec, rows[1][0])
+    for alpha, (b, poly) in classes.items():
+        assert b == firsts[alpha]
+        assert poly == poly_subset_expansion(g, b)
+    assert class_polynomials(g, spec, []) == {}
+
+
+def test_connectivity_expands_the_classes_up_to_its_witness_in_one_batch(monkeypatch):
+    batches, singles = [], []
+    batched = assigning.poly_subset_expansions
+
+    def counted(g, bs, **kwargs):
+        batches.append(list(bs))
+        return batched(g, bs, **kwargs)
+
+    monkeypatch.setattr(assigning, "poly_subset_expansions", counted)
+    monkeypatch.setattr(
+        assigning, "poly_subset_expansion", lambda *args, **kwargs: singles.append(args)
+    )
+    empty = MultiGraph.from_pairs(0, [])
+    for g in (triangle(), k4(), cycle(4), BRIDGED, PARALLEL, single_loop(), empty):
+        for spec in SMALL_GROUPS + (parse_group("Z5"),):
+            batches.clear()
+            connected, witness = is_A_connected(g, spec)
+            assert len(batches) == 1 and not singles, (g, spec)
+            rows = list(assigning.zero_sum_assignings(g, spec))
+            if witness is not None:
+                read = [indices for indices, _, _ in rows].index(witness.indices) + 1
+                rows = rows[:read]
+            assert batches[0] == list(_first_compatible_of_each_assigning(spec, rows).values())
+    # With a bridge no b has a flow, so b = 0, the first row, is the witness.
+    for g, spec in ((single_edge(), Z3), (BRIDGED, parse_group("Z5"))):
+        batches.clear()
+        zero = BFunction.zero(spec, g.vertex_count)
+        assert is_A_connected(g, spec) == (False, zero)
+        assert batches == [[zero]]
+
+
+def test_connectivity_rejects_a_zero_sum_b_read_as_incompatible(monkeypatch):
+    rows = assigning.zero_sum_assignings
+
+    def first_incompatible(g, spec, **kwargs):
+        for i, (indices, alpha, compatible) in enumerate(rows(g, spec, **kwargs)):
+            yield indices, alpha, compatible and i != 0
+
+    assert is_A_connected(triangle(), parse_group("Z4")) == (True, None)
+    monkeypatch.setattr(assigning, "zero_sum_assignings", first_incompatible)
+    with pytest.raises(ConsistencyError, match="not compatible"):
+        is_A_connected(triangle(), parse_group("Z4"))
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,20 @@ def test_connectivity_budget_caps_boundary_functions(capsys, tmp_path):
     assert "zero-sum boundary functions" in err
 
 
+def test_connectivity_reports_a_zero_sum_b_read_as_incompatible(capsys, monkeypatch, c3_file):
+    rows = flowpoly.assigning.zero_sum_assignings
+
+    def first_incompatible(g, spec, **kwargs):
+        for i, (indices, alpha, compatible) in enumerate(rows(g, spec, **kwargs)):
+            yield indices, alpha, compatible and i != 0
+
+    monkeypatch.setattr(flowpoly.assigning, "zero_sum_assignings", first_incompatible)
+    code, report, err = run_cli(capsys, "connectivity", c3_file, "--group", "Z4")
+    assert code == EXIT_VERIFY
+    assert report is None
+    assert "internal consistency failure" in err and "not compatible" in err
+
+
 def test_decompose_honours_budget(capsys, tmp_path):
     # A 30-edge perfect matching over Z2: (|A| - 1)^m = 1 edge function,
     # but |A|^(n - c) = 2^30 zero-sum boundary functions.
