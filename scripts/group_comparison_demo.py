@@ -24,17 +24,12 @@ KLEIN = parse_group("Z2xZ2")
 Z3 = parse_group("Z3")
 
 
-def assigning_map(g, spec):
-    """Each assigning of g over spec: its first b and that b's polynomial."""
-    return class_polynomials(g, spec, zero_sum_assignings(g, spec))
-
-
 def main() -> None:
     k4 = complete(4)
 
     print("== matching assignings across groups of order 4 (K4) ==")
-    by_z4 = assigning_map(k4, Z4)
-    by_klein = assigning_map(k4, KLEIN)
+    by_z4 = class_polynomials(k4, Z4, zero_sum_assignings(k4, Z4))
+    by_klein = class_polynomials(k4, KLEIN, zero_sum_assignings(k4, KLEIN))
     members = range(len(lambda_family(k4)))
     matched = sorted(
         (alpha for alpha in by_z4 if alpha in by_klein),

@@ -55,7 +55,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import not_
 from typing import Iterable, Iterator, Sequence
 
@@ -748,36 +748,54 @@ def compare_coefficients(
 
 
 def is_A_connected(
-    g: MultiGraph, spec: GroupSpec, *, budget: int = DEFAULT_BUDGET
+    g: MultiGraph,
+    spec: GroupSpec,
+    *,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[bool, BFunction | None]:
     """Whether every locally zero-sum b admits a nowhere-zero flow.
 
-    The nowhere-zero boundary histogram is read first, so a group of order
-    below 2 raises its InputError.  Then the rows of
-    ``zero_sum_assignings`` are read in enumeration order up to the first b
-    whose brute-force count is zero, and ``class_polynomials`` expands one
-    representative of each α met in them.  The count of b depends only on
-    α, so its class polynomial's value at |A| must equal each row's count;
-    a row whose verdict is not compatible, or whose counts disagree, raises
+    The rows of ``zero_sum_assignings`` are read in enumeration order up to
+    the first b whose brute-force count is zero, each count read from the
+    nowhere-zero boundary histogram.  The first row is taken before the
+    histogram is built, so the |A|^(n-c) guard fires first, and a group of
+    order below 2 then raises the histogram's InputError.  The rows stream
+    into ``class_polynomials``, which expands one representative of each α
+    met; only one count per α is kept.  The count of b depends only on α,
+    so a row whose verdict is not compatible, or whose count differs from
+    its α's first row or from its class polynomial's value at |A|, raises
     ConsistencyError.  On failure the first b with count zero is returned
-    as the witness.  The budget caps the brute-force enumeration, the
-    |A|^(n-c) boundary functions tried and the plan states summed over the
+    as the witness.  The budget caps the |A|^(n-c) boundary functions
+    tried, the brute-force enumeration and the plan states summed over the
     loops of the one batched expansion.
     """
+    rows = zero_sum_assignings(g, spec, budget=budget)
+    first = next(rows)  # its budget guard fires before the histogram is built
     counts = nz_flow_index_counts(g, spec, budget=budget)
-    rows = []
-    for row in zero_sum_assignings(g, spec, budget=budget):
-        rows.append(row)
-        if row[0] not in counts:  # a zero count: the witness
-            break
-    classes = class_polynomials(g, spec, rows, budget=budget)
-    values = {alpha: poly.eval(spec.order) for alpha, (_, poly) in classes.items()}
-    for indices, alpha, compatible in rows:
-        if not compatible:
-            raise ConsistencyError(f"the zero-sum b of indices {indices} is not compatible")
-        via_poly, via_brute = values[alpha], counts.get(indices, 0)
-        if via_poly != via_brute:
-            raise ConsistencyError(f"polynomial count {via_poly} != brute force {via_brute}")
-        if not via_brute:
-            return False, BFunction.from_indices(spec, indices)
+    brute: dict[int, int] = {}
+
+    def checked() -> Iterator[tuple[tuple[int, ...], int, bool]]:
+        for indices, alpha, compatible in chain([first], rows):
+            if not compatible:
+                raise ConsistencyError(f"the zero-sum b of indices {indices} is not compatible")
+            via_brute = counts.get(indices, 0)
+            if brute.setdefault(alpha, via_brute) != via_brute:
+                raise ConsistencyError(
+                    f"brute force counts {brute[alpha]} and {via_brute} differ in one class"
+                )
+            yield indices, alpha, compatible
+            if not via_brute:  # the witness: read no further
+                return
+
+    # Only the last row read can count zero, and, as no earlier row of its α
+    # counted otherwise, it is the first of its α: its class comes last and
+    # that class's b is the witness.
+    for alpha, (b, poly) in class_polynomials(g, spec, checked(), budget=budget).items():
+        via_poly = poly.eval(spec.order)
+        if via_poly != brute[alpha]:
+            raise ConsistencyError(
+                f"polynomial count {via_poly} disagrees with brute force {brute[alpha]}"
+            )
+        if not via_poly:
+            return False, b
     return True, None

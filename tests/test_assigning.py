@@ -1470,6 +1470,27 @@ def test_connectivity_rejects_a_zero_sum_b_read_as_incompatible(monkeypatch):
         is_A_connected(triangle(), parse_group("Z4"))
 
 
+def test_connectivity_checks_every_count_against_its_class(monkeypatch):
+    g, spec = triangle(), parse_group("Z4")
+    rows = list(assigning.zero_sum_assignings(g, spec))
+    counts = dict(assigning.nz_flow_index_counts(g, spec))
+    alpha = rows[1][1]
+    members = [indices for indices, other, _ in rows if other == alpha]
+    assert len(members) > 1
+    # One later b of a class counts differently from the class's first b.
+    skewed = dict(counts)
+    skewed[members[-1]] += 1
+    monkeypatch.setattr(assigning, "nz_flow_index_counts", lambda *args, **kwargs: skewed)
+    with pytest.raises(ConsistencyError, match="differ in one class"):
+        is_A_connected(g, spec)
+    # Every b of a class counts the same, but not the class polynomial's value.
+    skewed = dict(counts)
+    for indices in members:
+        skewed[indices] += 1
+    with pytest.raises(ConsistencyError, match="disagrees with brute force"):
+        is_A_connected(g, spec)
+
+
 # ---------------------------------------------------------------------------
 # Caches.
 

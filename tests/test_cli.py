@@ -545,6 +545,22 @@ def test_connectivity_budget_caps_boundary_functions(capsys, tmp_path):
     assert "zero-sum boundary functions" in err
 
 
+def test_connectivity_budget_fires_before_the_histogram_is_built(capsys, monkeypatch, tmp_path):
+    # A 26-cycle over Z3: its 2^26 edge functions fit the default budget,
+    # the 3^25 zero-sum boundary functions do not, and that guard must stop
+    # the call before any edge function is tallied.
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("the nowhere-zero histogram was built")
+
+    monkeypatch.setattr(flowpoly.assigning, "nz_flow_index_counts", no_histogram)
+    graph = tmp_path / "c26.graph"
+    graph.write_text("26 26\n" + "".join(f"{i} {(i + 1) % 26}\n" for i in range(26)))
+    code, report, err = run_cli(capsys, "connectivity", str(graph), "--group", "Z3")
+    assert code == EXIT_RESOURCE
+    assert report is None
+    assert "zero-sum boundary functions" in err
+
+
 def test_connectivity_reports_a_zero_sum_b_read_as_incompatible(capsys, monkeypatch, c3_file):
     rows = flowpoly.assigning.zero_sum_assignings
 
